@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
-from .span_lattice import ApproximationScheme, constructive_sup
+from .span_lattice import ApproximationScheme, constructive_sup, identity_operator
 
 FINITE_DIMENSION_CAVEAT = (
     "finite-dimensional model: the extrapolation norm is equivalent to the "
@@ -73,10 +73,6 @@ class GeneratorMatrix:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def positivity_certificate(self) -> bool:
-        return True  # enforced at construction
 
 
 def resolvent(gen: GeneratorMatrix, mu: float) -> np.ndarray:
@@ -194,7 +190,8 @@ def resolvent_scheme(gen: GeneratorMatrix, n_min: int = 2,
             cache[n] = n * np.linalg.solve(n * np.eye(gen.dim) - gen.A, np.eye(gen.dim))
         return cache[n]
 
-    return ApproximationScheme(np.eye(gen.dim), R, n_min, n_max, name="resolvent")
+    return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max,
+                               name="resolvent")
 
 
 def theorem41_sup(space: ExtrapolationSpace, z, tol: float,

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.ndimage
+from scipy.sparse.linalg import LinearOperator
 
-from . import sobolev_grid
 from .ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
-from .sobolev_grid import ConvergenceError, GridDomain, GridFunction, Mollifier
+from .sobolev_grid import ConvergenceError, GridDomain, Mollifier
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +197,44 @@ def renorm_bounds_check(space: OrderedSpaceSpec, x, M: float, C: float,
 # Approximation schemes
 # ---------------------------------------------------------------------------
 
-class ComposedPositiveOp:
-    """Matrix-free positive operator; used where dense matrices get large."""
+class PeriodicCorrelation(LinearOperator):
+    """Matrix-free positive operator (R v)_i = sum_j w_j v_{i + j - len(w)//2}.
 
-    def __init__(self, shape: tuple[int, int], matvec: Callable, label: str = ""):
-        self.shape = shape
-        self._matvec = matvec
-        self.label = label
+    Indices wrap around, so this is the periodic convolution with the
+    reflected kernel; the adjoint convolves with ``w`` itself.  The weights
+    are checked to be nonnegative, which makes the operator positive.
+    """
 
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self._matvec(np.asarray(v, dtype=float))
+    def __init__(self, weights, N: int):
+        w = np.asarray(weights, dtype=float)
+        if np.min(w) < 0:
+            raise ValueError("correlation weights must be nonnegative")
+        super().__init__(dtype=w.dtype, shape=(N, N))
+        self.w = w
+
+    @property
+    def nbytes(self) -> int:
+        return self.w.nbytes
+
+    def _matmat(self, X):
+        return scipy.ndimage.correlate1d(X, self.w, axis=0, mode="wrap", output=float)
+
+    def _rmatmat(self, X):
+        return scipy.ndimage.convolve1d(X, self.w, axis=0, mode="wrap", output=float)
+
+    _matvec = _matmat
+    _rmatvec = _rmatmat
 
 
-def _apply(op, v: np.ndarray) -> np.ndarray:
-    return op @ v
+def identity_operator(N: int) -> LinearOperator:
+    """J = id on R^N; applying it or its adjoint returns the argument."""
+    same = lambda X: X
+    return LinearOperator((N, N), matvec=same, rmatvec=same, matmat=same,
+                          rmatmat=same, dtype=float)
 
 
 def _entrywise_nonneg(op, tol: float = 1e-12) -> bool:
-    if isinstance(op, np.ndarray):
-        return bool(np.min(op) >= -tol)
-    return isinstance(op, ComposedPositiveOp)  # positivity is structural
+    return bool(np.min(op @ np.eye(op.shape[1])) >= -tol)
 
 
 class SchemeValidationError(ValueError):
@@ -226,12 +245,12 @@ class SchemeValidationError(ValueError):
 class ApproximationScheme:
     """Embedding J with positive approximants R_n realizing J R_n -> id.
 
-    ``R`` maps an index n to a linear operator (dense matrix or a
-    matrix-free positive operator).  Indices run geometrically from n_min.
+    ``J`` and ``R(n)`` are an ndarray or a LinearOperator; both give ``@``
+    and ``.T``.  Indices run geometrically from n_min.
     """
 
-    J: np.ndarray | ComposedPositiveOp
-    R: Callable[[int], np.ndarray | ComposedPositiveOp]
+    J: np.ndarray | LinearOperator
+    R: Callable[[int], np.ndarray | LinearOperator]
     n_min: int
     n_max: int
     name: str = ""
@@ -258,7 +277,7 @@ class ApproximationScheme:
                     f"scheme {self.name!r}: R_{n} is not positive")
             for i, z in enumerate(validation_z):
                 z = np.asarray(z, dtype=float)
-                err = _apply(self.J, _apply(Rn, z)) - z
+                err = self.J @ (Rn @ z) - z
                 val = norm.value(err) if norm is not None else float(np.max(np.abs(err)))
                 errors.setdefault(i, []).append(val)
         for i, errs in errors.items():
@@ -279,39 +298,14 @@ def mollifier_scheme(domain: GridDomain, p: float = 2.0,
         raise ValueError("the plain mollifier scheme lives on the torus")
     N = domain.node_count
     n_max = int(math.floor((domain.hi[0] - domain.lo[0]) / (2.0 * domain.h)))
-    cache: dict[int, np.ndarray] = {}
+    cache: dict[int, PeriodicCorrelation] = {}
 
-    def R(n: int) -> np.ndarray:
+    def R(n: int) -> PeriodicCorrelation:
         if n not in cache:
-            w = Mollifier(1.0 / n).weights(domain.h)
-            half = len(w) // 2
-            M = np.zeros((N, N))
-            for j, wj in enumerate(w):
-                M += wj * np.roll(np.eye(N), j - half, axis=1)
-            cache[n] = M
+            cache[n] = PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
         return cache[n]
 
-    return ApproximationScheme(np.eye(N), R, n_min, n_max, name="mollifier")
-
-
-def boundary_scheme(domain: GridDomain, n_min: int = 2, n_max: int = 32,
-                    r: float = 0.4) -> ApproximationScheme:
-    """Push-in-then-mollify scheme on a domain with boundary, J = id."""
-    N = domain.node_count
-    cache: dict[int, ComposedPositiveOp] = {}
-
-    def R(n: int) -> ComposedPositiveOp:
-        if n not in cache:
-            op = sobolev_grid.approx_identity_with_boundary(domain, n, r=r)
-
-            def matvec(v, _op=op):
-                return _op.apply(GridFunction(domain, v)).values
-
-            cache[n] = ComposedPositiveOp((N, N), matvec, label=f"pushin-mollify[{n}]")
-        return cache[n]
-
-    J = ComposedPositiveOp((N, N), lambda v: v, label="id")
-    return ApproximationScheme(J, R, n_min, n_max, name="boundary")
+    return ApproximationScheme(identity_operator(N), R, n_min, n_max, name="mollifier")
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +346,8 @@ def constructive_sup(scheme: ApproximationScheme, space_Z: OrderedSpaceSpec,
     # Cauchy detection runs in the uniform norm so that the stopping
     # increments dominate the componentwise post-verification margin.
     s, n_final, increments = _iterate_sup(
-        lambda v: _apply(scheme.J, v),
-        lambda n, v: _apply(scheme.R(n), v),
+        lambda v: scheme.J @ v,
+        lambda n, v: scheme.R(n) @ v,
         scheme.indices(), z, tol,
         lambda v: float(np.max(np.abs(v))),
     )
@@ -367,24 +361,15 @@ def constructive_sup(scheme: ApproximationScheme, space_Z: OrderedSpaceSpec,
 
 
 def constructive_sup_dual(scheme: ApproximationScheme, x_dual, tol: float) -> np.ndarray:
-    """Dual-side limit s' = J' |R_n' x'|; requires matrix-backed schemes.
+    """Dual-side limit s' = J' |R_n' x'| through the adjoints of the scheme.
 
     Cauchy detection runs in the sup norm on the dual coordinates; the
     result dominates -x' and x' in the dual (componentwise) order.
     """
     x_dual = np.asarray(x_dual, dtype=float)
-    if not isinstance(scheme.J, np.ndarray):
-        raise TypeError("dual construction needs a matrix-backed scheme")
     Jt = scheme.J.T
-
-    def apply_rt(n, v):
-        Rn = scheme.R(n)
-        if not isinstance(Rn, np.ndarray):
-            raise TypeError("dual construction needs matrix-backed approximants")
-        return Rn.T @ v
-
     s, _, increments = _iterate_sup(
-        lambda v: Jt @ v, apply_rt, scheme.indices(), x_dual, tol,
+        lambda v: Jt @ v, lambda n, v: scheme.R(n).T @ v, scheme.indices(), x_dual, tol,
         lambda v: float(np.max(np.abs(v))),
     )
     gap = float(np.max(np.abs(x_dual) - s))

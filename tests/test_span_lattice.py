@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlab.ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
-from latlab.sobolev_grid import ConvergenceError, GridDomain, GridFunction
+from latlab.sobolev_grid import ConvergenceError, GridDomain, GridFunction, Mollifier
 from latlab.span_lattice import (
     ApproximationScheme,
+    PeriodicCorrelation,
     SchemeValidationError,
     cone_norm_coincidence_check,
     constructive_sup,
@@ -227,6 +228,29 @@ class TestSchemeValidation:
             for e in np.eye(32):
                 assert np.all(M @ e >= -1e-12)
 
+    @pytest.mark.parametrize("N", [32, 64, 384])
+    def test_convolution_direction_matches_dense_assembly(self, N):
+        # reference: the operator assembled densely as a sum of shifted
+        # identities; the bump kernels are symmetric, so a lopsided kernel
+        # is what tells correlation from convolution
+        domain = GridDomain.torus(1.0, N)
+        scheme = mollifier_scheme(domain, 2.0)
+        rng = np.random.default_rng(N)
+        lopsided = np.arange(1.0, 8.0) / 28.0
+        cases = [(scheme.R(n), Mollifier(1.0 / n).weights(domain.h))
+                 for n in scheme.indices()]
+        cases.append((PeriodicCorrelation(lopsided, N), lopsided))
+        for op, w in cases:
+            half = len(w) // 2
+            M = sum(wj * np.roll(np.eye(N), j - half, axis=1) for j, wj in enumerate(w))
+            v = rng.standard_normal(N)
+            assert np.max(np.abs(op @ v - M @ v)) <= 1e-15
+            assert np.max(np.abs(op.T @ v - M.T @ v)) <= 1e-15
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(ValueError):
+            PeriodicCorrelation(np.array([0.5, -0.1, 0.6]), 8)
+
 
 class TestConstructiveSup:
     def test_positive_vector_reproduced(self):
@@ -298,7 +322,20 @@ class TestConstructiveSupDual:
         assert np.max(np.abs(s - np.abs(x))) <= 1e-6
         # transposed approximants: convolution with the reflected kernel
         R4 = scheme.R(4)
-        assert np.allclose(R4, R4.T, atol=1e-14)
+        assert np.allclose(R4 @ np.eye(256), R4.T @ np.eye(256), atol=1e-14)
+
+    def test_resolvent_scheme_dual_matches_primal(self):
+        # A is symmetric, so R_n' = R_n and both constructions coincide
+        from latlab.extrapolation import neumann_laplacian_1d, resolvent_scheme
+        domain = GridDomain.interval(0.0, 1.0, 64)
+        scheme = resolvent_scheme(neumann_laplacian_1d(64, domain.h))
+        z = np.zeros(64)
+        z[31] = 1.0
+        tol = 1e-6
+        s_dual = constructive_sup_dual(scheme, z, tol)
+        s = constructive_sup(scheme, grid_space(domain), z, tol)
+        assert np.max(np.abs(s_dual - s)) <= 1e-12
+        assert np.max(np.abs(z) - s_dual) <= tol
 
     def test_zero_covector_exact(self):
         domain = GridDomain.torus(1.0, 32)
