@@ -10,7 +10,6 @@ from .ordered_space import (
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
-    cone_contains,
     decomposition_constant_estimate,
     dual_cone,
     is_face,

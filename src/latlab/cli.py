@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +113,9 @@ def _grid_space(domain: GridDomain, p: float) -> OrderedSpaceSpec:
                             NormSpec.lp(weights, p))
 
 
-def _build_scheme(family: str, domain: GridDomain, p: float, seed: int):
+def _build_scheme(family: str, domain: GridDomain, seed: int):
     if family == "mollifier":
-        return mollifier_scheme(domain, p)
+        return mollifier_scheme(domain)
     if family == "resolvent-neumann":
         gen = neumann_laplacian_1d(domain.node_count, domain.h)
         return resolvent_scheme(gen)
@@ -135,7 +135,7 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
     p = cfg["order"]["p"]
-    scheme = _build_scheme(cfg["scheme"]["family"], domain, p, cfg["seed"])
+    scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
     space = _grid_space(domain, p)
     tol = cfg["scheme"]["tol"]
     threshold = cfg["gap_threshold"]

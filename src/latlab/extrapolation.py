@@ -181,13 +181,16 @@ def _lp_operator_bound(T: np.ndarray, norm: NormSpec) -> float:
 
 def resolvent_scheme(gen: GeneratorMatrix, n_min: int = 2,
                      n_max: int = 2 ** 40) -> ApproximationScheme:
-    """Scheme J = id, R_n = n (n - A)^{-1} for integers n above lam0."""
+    """Scheme J = id, R_n = n (n - A)^{-1} for integers n above lam0.
+
+    Each R_n comes from ``resolvent``, which checks it entrywise nonnegative.
+    """
     n_min = max(n_min, int(math.floor(gen.lam0)) + 1)
     cache: dict[int, np.ndarray] = {}
 
     def R(n: int) -> np.ndarray:
         if n not in cache:
-            cache[n] = n * np.linalg.solve(n * np.eye(gen.dim) - gen.A, np.eye(gen.dim))
+            cache[n] = n * resolvent(gen, n)
         return cache[n]
 
     return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max,

@@ -8,7 +8,7 @@ lower bounds for the normality constant M and the decomposition constant C.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -93,11 +93,6 @@ def _pointed_by_lp(ineq: np.ndarray) -> bool:
         if res.status != 0 or res.fun < -LP_TOL:
             return False
     return True
-
-
-def cone_contains(cone: PolyhedralCone, x, tol: float = CONE_TOL) -> bool:
-    """Membership x in the cone, within the fixed absolute tolerance."""
-    return cone.contains(x, tol=tol)
 
 
 def _interior_point_value(cone: PolyhedralCone) -> float:
@@ -248,13 +243,7 @@ class NormSpec:
         if self.kind == "lp":
             return np.sum(self.weights * np.abs(X) ** self.p, axis=1) ** (1.0 / self.p)
         if self.kind == "sobolev":
-            w = self.domain.cell_measure
-            total = np.zeros(X.shape[0])
-            for alpha in sobolev_grid.multi_indices(self.k, self.domain.d):
-                D = sobolev_grid.diff_operator(self.domain, alpha)
-                U = (D @ X.T).T
-                total += w * np.sum(np.abs(U) ** self.p, axis=1)
-            return total ** (1.0 / self.p)
+            return sobolev_grid.sobolev_norms(self.domain, self.k, self.p, X.T)
         if self.p == 2.0:
             w = self.domain.cell_measure
             lu = sobolev_grid._sobolev_stiffness_factor(self.domain, self.k)
@@ -265,6 +254,8 @@ class NormSpec:
     def grad(self, x) -> np.ndarray:
         """Gradient of the norm (a subgradient at kinks); zero at the origin."""
         x = np.asarray(x, dtype=float)
+        if self.kind == "sobolev":
+            return sobolev_grid.sobolev_value_grad(self.domain, self.k, self.p, x)[1]
         val = self.value(x)
         if val == 0.0:
             return np.zeros_like(x)
@@ -272,14 +263,6 @@ class NormSpec:
             if self.p == 1.0:
                 return self.weights * np.sign(x)
             g = self.weights * np.abs(x) ** (self.p - 1.0) * np.sign(x)
-            return g * val ** (1.0 - self.p)
-        if self.kind == "sobolev":
-            w = self.domain.cell_measure
-            g = np.zeros_like(x)
-            for alpha in sobolev_grid.multi_indices(self.k, self.domain.d):
-                D = sobolev_grid.diff_operator(self.domain, alpha)
-                u = D @ x
-                g += w * (D.T @ (np.abs(u) ** (self.p - 1.0) * np.sign(u)))
             return g * val ** (1.0 - self.p)
         if self.p == 2.0:
             w = self.domain.cell_measure
@@ -323,9 +306,6 @@ class OrderedSpaceSpec:
     def standard_sobolev(cls, domain: GridDomain, k: int, p: float = 2.0) -> "OrderedSpaceSpec":
         dim = domain.node_count
         return cls(dim, PolyhedralCone.standard(dim), NormSpec.sobolev(domain, k, p))
-
-    def norm_value(self, x) -> float:
-        return self.norm.value(x)
 
 
 # ---------------------------------------------------------------------------

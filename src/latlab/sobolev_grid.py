@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -223,16 +223,41 @@ def multi_indices(k: int, d: int) -> list[tuple[int, ...]]:
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def stacked_diff_operator(domain: GridDomain, k: int):
+    """S = vstack(D^alpha for |alpha| <= k) and S^T, both CSR.
+
+    The W^{k,p} norm is (w * sum |S f|^p)^(1/p); the stiffness matrix is S^T S.
+    """
+    S = scipy.sparse.vstack(
+        [diff_operator(domain, alpha) for alpha in multi_indices(k, domain.d)],
+        format="csr",
+    )
+    return S, S.T.tocsr()
+
+
+def sobolev_norms(domain: GridDomain, k: int, p: float, X: np.ndarray):
+    """W^{k,p} norms of the columns of X (a float for a single vector)."""
+    S, _ = stacked_diff_operator(domain, k)
+    total = domain.cell_measure * np.sum(np.abs(S @ X) ** p, axis=0)
+    return total ** (1.0 / p)
+
+
+def sobolev_value_grad(domain: GridDomain, k: int, p: float, f: np.ndarray):
+    """W^{k,p} norm of f and its gradient (subgradient at kinks, 0 at 0)."""
+    S, St = stacked_diff_operator(domain, k)
+    w, u = domain.cell_measure, S @ f
+    val = float((w * np.sum(np.abs(u) ** p)) ** (1.0 / p))
+    if val == 0.0:
+        return val, np.zeros_like(f)
+    return val, w * (St @ (np.abs(u) ** (p - 1.0) * np.sign(u))) * val ** (1.0 - p)
+
+
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: p-sum of f and its differences up to order k."""
     _check_grid_order(f.domain, k)
     _check_p(p)
-    total = 0.0
-    w = f.domain.cell_measure
-    for alpha in multi_indices(k, f.domain.d):
-        u = diff_operator(f.domain, alpha) @ f.values
-        total += w * np.sum(np.abs(u) ** p)
-    return float(total ** (1.0 / p))
+    return float(sobolev_norms(f.domain, k, p, f.values))
 
 
 def _check_grid_order(domain: GridDomain, k: int) -> None:
@@ -249,11 +274,8 @@ def _check_p(p: float) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _sobolev_stiffness_factor(domain: GridDomain, k: int):
-    L = scipy.sparse.csr_matrix((domain.node_count, domain.node_count))
-    for alpha in multi_indices(k, domain.d):
-        D = diff_operator(domain, alpha)
-        L = L + D.T @ D
-    return scipy.sparse.linalg.splu(L.tocsc())
+    S, St = stacked_diff_operator(domain, k)
+    return scipy.sparse.linalg.splu((St @ S).tocsc())
 
 
 def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
@@ -275,21 +297,6 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     return _negative_norm_ascent(g, k, p)
 
 
-def _sobolev_value_grad(domain: GridDomain, k: int, q: float, f: np.ndarray):
-    """W^{k,q} norm of f and its gradient (subgradient at kinks)."""
-    w = domain.cell_measure
-    total = 0.0
-    grad = np.zeros_like(f)
-    for alpha in multi_indices(k, domain.d):
-        D = diff_operator(domain, alpha)
-        u = D @ f
-        total += w * np.sum(np.abs(u) ** q)
-        grad += w * q * (D.T @ (np.abs(u) ** (q - 1.0) * np.sign(u)))
-    val = total ** (1.0 / q)
-    if val > 0.0:
-        grad = grad * (val ** (1.0 - q) / q)
-    return val, grad
-
 def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
     q = p / (p - 1.0)
     dom, w = g.domain, g.domain.cell_measure
@@ -298,14 +305,14 @@ def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
         return 0.0
     # warm start at the p=2 maximizer
     f0 = _sobolev_stiffness_factor(dom, k).solve(gv)
-    n0, _ = _sobolev_value_grad(dom, k, q, f0)
+    n0, _ = sobolev_value_grad(dom, k, q, f0)
     f0 = f0 / n0 if n0 > 0 else np.ones_like(gv)
 
     def neg_obj(f):
         return -w * float(f @ gv), -w * gv
 
     def constraint(f):
-        val, grad = _sobolev_value_grad(dom, k, q, f)
+        val, grad = sobolev_value_grad(dom, k, q, f)
         return 1.0 - val, -grad
 
     res = scipy.optimize.minimize(
@@ -316,7 +323,7 @@ def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
         options={"maxiter": 400, "ftol": 1e-14},
     )
     fstar = res.x
-    norm_f, grad_f = _sobolev_value_grad(dom, k, q, fstar)
+    norm_f, grad_f = sobolev_value_grad(dom, k, q, fstar)
     if norm_f <= 0:
         raise ConvergenceError("degenerate ascent iterate", best=0.0)
     lower = w * float(fstar @ gv) / norm_f

@@ -33,8 +33,12 @@ class SpanNormResult:
     z: np.ndarray
 
 
-def span_norm(space: OrderedSpaceSpec, x, *, starts: int = 8,
-              max_iter: int = 5000, seed: int = 7) -> SpanNormResult:
+_SPAN_STARTS = 8        # descent starts: s = 0, then seeded random points
+_SPAN_MAX_ITER = 5000   # descent steps per start
+_SPAN_SEED = 7
+
+
+def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
     """inf ||y|| + ||z|| over y, z >= 0 with x = y - z (standard cone).
 
     Parameterizes y = x+ + s, z = x- + s with s >= 0 and runs projected
@@ -61,9 +65,9 @@ def span_norm(space: OrderedSpaceSpec, x, *, starts: int = 8,
         return norm.grad(xp + s) + norm.grad(xm + s)
 
     scale = float(np.max(np.abs(x)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SPAN_SEED)
     start_points = [np.zeros_like(x)]
-    for j in range(starts - 1):
+    for j in range(_SPAN_STARTS - 1):
         level = 0.5 ** (j % 4)
         start_points.append(level * scale * rng.uniform(0.0, 1.0, size=x.shape))
 
@@ -73,7 +77,7 @@ def span_norm(space: OrderedSpaceSpec, x, *, starts: int = 8,
         val = objective(s)
         step = 0.25 * scale / max(float(np.max(np.abs(gradient(s)))), 1e-30)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_SPAN_MAX_ITER):
             g = gradient(s)
             # projected-gradient residual as the convergence measure
             resid = np.where(s > 0, g, np.minimum(g, 0.0))
@@ -110,6 +114,8 @@ def span_norm(space: OrderedSpaceSpec, x, *, starts: int = 8,
 # ---------------------------------------------------------------------------
 
 RENORM_EXACT_MAX_DIM = 16  # vertex enumeration cutoff (2^16 vertices)
+_RENORM_ASCENT_STARTS = 32  # random vertex starts of the coordinate ascent
+_RENORM_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,7 @@ class RenormResult:
     maximizer: np.ndarray
 
 
-def renorm_value(space: OrderedSpaceSpec, x, *, ascent_starts: int = 32,
-                 seed: int = 11) -> RenormResult:
+def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     """sup { ||w|| : 0 <= w <= |x| } (standard cone).
 
     Exact for dim <= 16 by enumerating the box vertices (the norm is convex,
@@ -145,9 +150,9 @@ def renorm_value(space: OrderedSpaceSpec, x, *, ascent_starts: int = 32,
         vals = norm.value_many(masks * ax)
         i = int(np.argmax(vals))
         return RenormResult(float(vals[i]), True, masks[i] * ax)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RENORM_SEED)
     best_val, best_w = -math.inf, None
-    for _ in range(ascent_starts):
+    for _ in range(_RENORM_ASCENT_STARTS):
         mask = rng.integers(0, 2, size=d).astype(float)
         val = norm.value(mask * ax)
         improved = True
@@ -291,8 +296,7 @@ class ApproximationScheme:
         return errors
 
 
-def mollifier_scheme(domain: GridDomain, p: float = 2.0,
-                     n_min: int = 2) -> ApproximationScheme:
+def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
     """Torus scheme R_n = convolution with the bump at scale 1/n, J = id."""
     if not domain.periodic:
         raise ValueError("the plain mollifier scheme lives on the torus")

@@ -52,3 +52,30 @@ def test_torus_at_scale(experiment, tmp_path):
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
     (csv_path,) = out.glob("*.csv")
     assert _statuses(csv_path) == ["PASS"] * 3
+
+
+def _merge(paths, out: Path) -> dict:
+    assert main(["report-merge", *map(str, paths), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_report_merge_is_idempotent(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "normality-scan-pass.json"
+    assert _run_config(config, tmp_path / "run") == 0
+    (csv_path,) = (tmp_path / "run").glob("*.csv")
+    once = _merge([csv_path], tmp_path / "once.json")
+    twice = _merge([csv_path, csv_path], tmp_path / "twice.json")
+    assert twice["runs"] == once["runs"] == 1
+    assert twice["experiments"] == once["experiments"]
+
+
+def test_report_merge_short_row_names_file_and_line(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "normality-scan-pass.json"
+    assert _run_config(config, tmp_path / "run") == 0
+    (csv_path,) = (tmp_path / "run").glob("*.csv")
+    lines = csv_path.read_text().splitlines()
+    bad = tmp_path / "short.csv"
+    bad.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n")
+    capsys.readouterr()
+    assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{bad}:3" in capsys.readouterr().err

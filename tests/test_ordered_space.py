@@ -10,7 +10,6 @@ from latlab.ordered_space import (
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
-    cone_contains,
     cone_generators,
     decomposition_constant_estimate,
     dual_cone,
@@ -40,18 +39,18 @@ def l2_space(dim):
 
 class TestConeContains:
     def test_standard_cone_positive_vector(self):
-        assert cone_contains(PolyhedralCone.standard(3), np.array([1.0, 2.0, 0.0]))
+        assert PolyhedralCone.standard(3).contains(np.array([1.0, 2.0, 0.0]))
 
     def test_standard_cone_mixed_vector(self):
-        assert not cone_contains(PolyhedralCone.standard(2), np.array([1.0, -1.0]))
+        assert not PolyhedralCone.standard(2).contains(np.array([1.0, -1.0]))
 
     def test_general_inequalities(self):
         cone = PolyhedralCone(2, np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert cone_contains(cone, np.array([1.0, 0.5]))
+        assert cone.contains(np.array([1.0, 0.5]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cone_contains(PolyhedralCone.standard(3), np.array([1.0, 2.0]))
+            PolyhedralCone.standard(3).contains(np.array([1.0, 2.0]))
 
 
 class TestPointedness:
@@ -375,11 +374,31 @@ class TestNormSpec:
 
     def test_value_many_matches_value(self):
         domain = GridDomain.interval(0.0, 1.0, 6)
+        rectangle = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 5)
         rng = np.random.default_rng(9)
         X = rng.standard_normal((5, 6))
-        for spec in (NormSpec.lp(np.linspace(0.5, 2, 6), 3.0),
-                     NormSpec.sobolev(domain, 1, 2.0),
-                     NormSpec.dual_sobolev(domain, 1, 2.0)):
-            batch = spec.value_many(X)
-            single = np.array([spec.value(x) for x in X])
+        Y = rng.standard_normal((5, 25))
+        for spec, Z in ((NormSpec.lp(np.linspace(0.5, 2, 6), 3.0), X),
+                        (NormSpec.sobolev(domain, 1, 2.0), X),
+                        (NormSpec.dual_sobolev(domain, 1, 2.0), X),
+                        (NormSpec.sobolev(domain, 1, 3.0), X),
+                        (NormSpec.sobolev(rectangle, 2, 2.0), Y)):
+            batch = spec.value_many(Z)
+            single = np.array([spec.value(z) for z in Z])
             assert np.allclose(batch, single, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NormSpec.lp(np.linspace(0.5, 2, 6), 3.0),
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+        lambda: NormSpec.sobolev(GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 5), 2, 3.0),
+        lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+    ], ids=["lp-p3", "sobolev-interval-k1-p2", "sobolev-rectangle-k2-p3",
+            "dual-sobolev-p2"])
+    def test_grad_matches_central_differences(self, make):
+        spec = make()
+        x = np.random.default_rng(4).standard_normal(spec.dim)
+        h = 1e-6
+        fd = np.array([(spec.value(x + h * e) - spec.value(x - h * e)) / (2 * h)
+                       for e in np.eye(spec.dim)])
+        assert np.allclose(spec.grad(x), fd, rtol=1e-6, atol=1e-8)
+        assert np.array_equal(spec.grad(np.zeros(spec.dim)), np.zeros(spec.dim))

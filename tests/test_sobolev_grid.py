@@ -17,6 +17,7 @@ from latlab.sobolev_grid import (
     gridfunction_from_csv,
     gridfunction_to_csv,
     mollify,
+    multi_indices,
     negative_sobolev_norm,
     positive_dominant_w0,
     pushin_operator,
@@ -103,6 +104,17 @@ class TestSobolevNorm:
         # constants keep only the order-zero term
         assert sobolev_norm(f, 2, 2.0) == pytest.approx(1.0 * (dom.h * 8 / (dom.h * 8)),
                                                         rel=0.3)
+
+    def test_stacked_kernel_matches_multi_index_sum(self):
+        # the definition: p-sum over every D^alpha with |alpha| <= k
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 6)
+        f = np.random.default_rng(5).standard_normal(36)
+        for k, p in ((1, 2.0), (2, 3.0)):
+            total = sum(np.sum(np.abs(diff_operator(dom, alpha) @ f) ** p)
+                        for alpha in multi_indices(k, 2))
+            expected = (dom.cell_measure * total) ** (1.0 / p)
+            assert sobolev_norm(GridFunction(dom, f), k, p) == pytest.approx(
+                expected, rel=1e-14)
 
 
 class TestNegativeSobolevNorm:

@@ -206,7 +206,7 @@ class TestRenormBounds:
 class TestSchemeValidation:
     def test_mollifier_scheme_validates(self):
         domain = GridDomain.torus(1.0, 64)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         t = domain.axis(0)
         zs = [0.01 * np.sin(2 * np.pi * t), 0.01 * np.cos(2 * np.pi * t) ** 2]
         errors = scheme.validate(zs, tol=1e-3)
@@ -222,7 +222,7 @@ class TestSchemeValidation:
 
     def test_positivity_on_basis_vectors(self):
         domain = GridDomain.torus(1.0, 32)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         for n in scheme.indices():
             M = scheme.R(n)
             for e in np.eye(32):
@@ -234,7 +234,7 @@ class TestSchemeValidation:
         # identities; the bump kernels are symmetric, so a lopsided kernel
         # is what tells correlation from convolution
         domain = GridDomain.torus(1.0, N)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         rng = np.random.default_rng(N)
         lopsided = np.arange(1.0, 8.0) / 28.0
         cases = [(scheme.R(n), Mollifier(1.0 / n).weights(domain.h))
@@ -255,7 +255,7 @@ class TestSchemeValidation:
 class TestConstructiveSup:
     def test_positive_vector_reproduced(self):
         domain = GridDomain.torus(1.0, 64)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         space = grid_space(domain)
         t = domain.axis(0)
         z = 2e-4 * (1.5 + np.sin(2 * np.pi * t))
@@ -264,7 +264,7 @@ class TestConstructiveSup:
 
     def test_sine_matches_modulus_oracle(self):
         domain = GridDomain.torus(1.0, 256)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         space = grid_space(domain)
         z = 0.001 * np.sin(2 * np.pi * domain.axis(0))
         s = constructive_sup(scheme, space, z, 1e-5)
@@ -285,7 +285,7 @@ class TestConstructiveSup:
     def test_oracle_invariant_random(self):
         from latlab.cli import _trig_profile
         domain = GridDomain.torus(1.0, 64)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         space = grid_space(domain)
         rng = np.random.default_rng(9)
         t = domain.axis(0)
@@ -297,7 +297,7 @@ class TestConstructiveSup:
 
     def test_exhausted_range_raises(self):
         domain = GridDomain.torus(1.0, 64)
-        base = mollifier_scheme(domain, 2.0)
+        base = mollifier_scheme(domain)
         truncated = ApproximationScheme(base.J, base.R, 2, 4, name="short")
         space = grid_space(domain)
         z = np.sin(2 * np.pi * domain.axis(0))
@@ -309,14 +309,14 @@ class TestConstructiveSup:
 class TestConstructiveSupDual:
     def test_positive_covector(self):
         domain = GridDomain.torus(1.0, 64)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         x = 2e-4 * (1.2 + np.sin(2 * np.pi * domain.axis(0)))
         s = constructive_sup_dual(scheme, x, 3e-5)
         assert np.max(np.abs(s - x)) <= 1e-5
 
     def test_symmetric_kernel_matches_modulus(self):
         domain = GridDomain.torus(1.0, 256)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         x = 0.001 * np.sin(2 * np.pi * domain.axis(0))
         s = constructive_sup_dual(scheme, x, 1e-5)
         assert np.max(np.abs(s - np.abs(x))) <= 1e-6
@@ -339,7 +339,7 @@ class TestConstructiveSupDual:
 
     def test_zero_covector_exact(self):
         domain = GridDomain.torus(1.0, 32)
-        scheme = mollifier_scheme(domain, 2.0)
+        scheme = mollifier_scheme(domain)
         s = constructive_sup_dual(scheme, np.zeros(32), 1e-6)
         assert np.array_equal(s, np.zeros(32))
 
