@@ -38,6 +38,7 @@ from .ordered_space import (
     normality_constant_lower_bound,
 )
 from .sobolev_grid import (
+    ConvergenceError,
     GridDomain,
     GridFunction,
     default_chart_cover,
@@ -126,6 +127,22 @@ def _build_scheme(family: str, domain: GridDomain, seed: int):
     raise UsageError(f"unknown scheme family {family!r}")
 
 
+def _sup_gap(compute, z: np.ndarray) -> tuple[float, str]:
+    """Gap max|s - |z|| of the supremum ``compute()`` and a non-convergence witness.
+
+    A ConvergenceError becomes a witness holding its message and Cauchy
+    increments; the gap is then taken at its best iterate, NaN without one.
+    """
+    try:
+        s, error = compute(), ""
+    except ConvergenceError as exc:
+        s, increments = exc.best, exc.diagnostics["increments"]
+        error = json.dumps({"error": str(exc), "increments": increments},
+                           separators=(",", ":"))
+    gap = float("nan") if s is None else float(np.max(np.abs(s - np.abs(z))))
+    return gap, error
+
+
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
@@ -145,18 +162,17 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     for i in range(cfg["samples"]):
         z = _trig_profile(rng, t_ax, cfg["curvature"])
         if dual:
-            s = constructive_sup_dual(scheme, z, tol)
+            gap, error = _sup_gap(lambda: constructive_sup_dual(scheme, z, tol), z)
         else:
-            s = constructive_sup(scheme, space, z, tol)
-        gap = float(np.max(np.abs(s - np.abs(z))))
-        ok = gap <= threshold
+            gap, error = _sup_gap(lambda: constructive_sup(scheme, space, z, tol), z)
+        ok = not error and gap <= threshold
         rows.append(ReportRow(
             name, f"z{i:03d}",
             params={"domain": kind, "grid_n": n, "scheme": cfg["scheme"]["family"],
                     "tol": tol, "seed": cfg["seed"]},
             values={"gap": gap},
             status="PASS" if ok else "FAIL",
-            witness="" if ok else json.dumps(list(z), separators=(",", ":")),
+            witness=error or ("" if ok else json.dumps(list(z), separators=(",", ":"))),
         ))
     return rows
 
@@ -363,11 +379,10 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
         abs(val - math.sqrt(21.0) / 4.0) <= 1e-12)
 
     gen = neumann_laplacian_1d(cfg["domain"]["n"], 1.0 / (cfg["domain"]["n"] - 1))
-    for mu in (1.0, 2.0):
-        R = resolvent(gen, mu)
+    R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
+    for mu, R in ((1.0, R1), (2.0, R2)):
         add(f"neumann-resolvent-positivity-mu{mu:g}", float(np.min(R)),
             float(np.min(R)) >= -1e-12)
-    R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
     resid = float(np.max(np.abs(R1 - R2 - (2.0 - 1.0) * (R1 @ R2))))
     add("resolvent-identity", resid, resid <= 1e-9)
 
@@ -375,10 +390,10 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     space = ExtrapolationSpace.build(base, gen, lam=1.0)
     t = np.linspace(0.0, 1.0, cfg["domain"]["n"])
     z = _trig_profile(rng, t, curvature=40.0)
-    s = extrapolation.theorem41_sup(space, z, tol=cfg["scheme"]["tol"])
-    gap = float(np.max(np.abs(s - np.abs(z))))
-    add("theorem41-sup-gap", gap, gap <= cfg["gap_threshold"],
-        "" if gap <= cfg["gap_threshold"] else json.dumps(list(z)))
+    gap, error = _sup_gap(
+        lambda: extrapolation.theorem41_sup(space, z, tol=cfg["scheme"]["tol"]), z)
+    ok = not error and gap <= cfg["gap_threshold"]
+    add("theorem41-sup-gap", gap, ok, error or ("" if ok else json.dumps(list(z))))
 
     # desk-scale caveat, reported so the collapse is never mistaken for the
     # infinite-dimensional phenomenon

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,11 +36,14 @@ class GeneratorMatrix:
     ``lam0`` strictly dominates the real parts of the spectrum.  The
     certificate combines the structural check (nonnegative off-diagonal
     entries) with entrywise positivity of the resolvent at lam0 and
-    2*lam0 + 1.
+    2*lam0 + 1.  A symmetric ``A`` is factored once by ``eigh``; the
+    spectral bound and every resolvent are read from that factorization.
     """
 
     A: np.ndarray
     lam0: float
+    _eigh: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -48,7 +51,12 @@ class GeneratorMatrix:
             raise ValueError("generator must be square")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
-        max_re = float(np.max(np.linalg.eigvals(A).real))
+        if np.array_equal(A, A.T):
+            w, V = np.linalg.eigh(A)
+            object.__setattr__(self, "_eigh", (w, V))
+            max_re = float(w[-1])
+        else:
+            max_re = float(np.max(np.linalg.eigvals(A).real))
         if self.lam0 <= max_re - 1e-12:
             raise ValueError(
                 f"lam0 = {self.lam0:g} does not dominate the spectral bound {max_re:g}"
@@ -57,29 +65,32 @@ class GeneratorMatrix:
         if np.min(off) < -1e-12:
             raise ValueError("generator has negative off-diagonal entries")
         for mu in (self.lam0, 2.0 * self.lam0 + 1.0):
-            res = np.linalg.solve(mu * np.eye(self.dim) - A, np.eye(self.dim))
-            if np.min(res) < -1e-12:
+            if np.min(self._shifted_inverse(mu)) < -1e-12:
                 raise ValueError(
                     f"resolvent positivity certificate failed at mu = {mu:g}"
                 )
 
-    @classmethod
-    def build(cls, A, lam0: float | None = None) -> "GeneratorMatrix":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        if lam0 is None:
-            lam0 = float(np.max(np.linalg.eigvals(A).real)) + 0.5
-        return cls(A, float(lam0))
-
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    def _shifted_inverse(self, mu: float) -> np.ndarray:
+        """(mu - A)^{-1}: B B^T with B = V (mu - w)^{-1/2} when A = V diag(w) V^T."""
+        if self._eigh is None:
+            return np.linalg.solve(mu * np.eye(self.dim) - self.A, np.eye(self.dim))
+        w, V = self._eigh
+        if mu <= w[-1]:
+            # lam0 may sit within 1e-12 below the spectral bound
+            raise ValueError(f"mu = {mu:g} does not exceed the spectral bound {w[-1]:g}")
+        B = V * np.sqrt(1.0 / (mu - w))
+        return B @ B.T
 
 
 def resolvent(gen: GeneratorMatrix, mu: float) -> np.ndarray:
     """(mu - A)^{-1}, entrywise nonnegative for the certified family."""
     if mu <= gen.lam0:
         raise ValueError(f"resolvent parameter mu = {mu:g} must exceed lam0 = {gen.lam0:g}")
-    R = np.linalg.solve(mu * np.eye(gen.dim) - gen.A, np.eye(gen.dim))
+    R = gen._shifted_inverse(mu)
     if np.min(R) < -1e-12:
         raise ValueError(f"resolvent at mu = {mu:g} has negative entries")
     return R

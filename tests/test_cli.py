@@ -3,6 +3,7 @@
 Exit code 0 means every row passed, 1 that some row failed, 2 a usage error.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -52,6 +53,40 @@ def test_torus_at_scale(experiment, tmp_path):
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
     (csv_path,) = out.glob("*.csv")
     assert _statuses(csv_path) == ["PASS"] * 3
+
+
+def _rows(csv_path: Path) -> list[dict]:
+    return list(csv.DictReader(csv_path.read_text().splitlines()[1:]))
+
+
+@pytest.mark.parametrize("experiment", ["sup-construct", "sup-construct-dual"])
+def test_nonconvergence_is_a_fail_row(experiment, tmp_path):
+    # the 64-node torus scheme stops at n = 32, long before increments reach 1e-12
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, "scheme": {"tol": 1e-12},
+                                  "samples": 2}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    (csv_path,) = out.glob("*.csv")
+    rows = _rows(csv_path)
+    assert [row["status"] for row in rows] == ["FAIL"] * 2
+    for row in rows:
+        witness = json.loads(row["witness"])
+        assert "did not converge" in witness["error"]
+        assert witness["increments"]
+        assert float(row["gap"]) > 0.0
+
+
+def test_extrapolation_demo_nonconvergence_is_a_fail_row(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "extrapolation-demo",
+                                  "scheme": {"tol": 1e-12}}))
+    out = tmp_path / "out"
+    assert main(["extrapolation-demo", "--config", str(config), "--out", str(out)]) == 1
+    (csv_path,) = out.glob("*.csv")
+    failed = [row for row in _rows(csv_path) if row["status"] == "FAIL"]
+    assert [row["case"] for row in failed] == ["theorem41-sup-gap"]
+    assert "did not converge" in json.loads(failed[0]["witness"])["error"]
 
 
 def _merge(paths, out: Path) -> dict:

@@ -35,6 +35,9 @@ class TestGeneratorMatrix:
     def test_lam0_must_dominate_spectrum(self):
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[1.0]]), lam0=0.5)
+        # lam0 on the spectral bound: lam0 - A is singular at the certificate
+        with pytest.raises(ValueError):
+            GeneratorMatrix(np.diag([-1.0, 0.0]), lam0=0.0)
 
     def test_negative_offdiagonal_rejected(self):
         A = np.array([[-1.0, -0.5], [0.0, -1.0]])
@@ -101,6 +104,29 @@ class TestResolvent:
         R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
         resid = np.max(np.abs(R1 - R2 - (2.0 - 1.0) * (R1 @ R2)))
         assert resid <= 1e-9
+
+    @pytest.mark.parametrize("gen", [
+        neumann_laplacian_1d(64, 1.0 / 63.0),
+        multiplication_generator(np.random.default_rng(6).uniform(0.0, 3.0, size=24)),
+    ], ids=["neumann", "multiplication"])
+    def test_matches_dense_solve(self, gen):
+        for mu in (1.0, 2.0, 2.0 ** 20):
+            dense = np.linalg.solve(mu * np.eye(gen.dim) - gen.A, np.eye(gen.dim))
+            assert np.max(np.abs(resolvent(gen, mu) - dense)) <= 1e-12 / mu
+
+    def test_nonsymmetric_metzler_generator(self):
+        A = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
+        gen = GeneratorMatrix(A, lam0=0.5)
+        for mu in (1.0, 3.0):
+            R = resolvent(gen, mu)
+            assert np.max(np.abs(R @ (mu * np.eye(3) - A) - np.eye(3))) <= 1e-14
+            assert np.min(R) >= 0.0
+            assert not np.allclose(R, R.T)
+
+    def test_nonsymmetric_spectral_bound_enforced(self):
+        # eigenvalues +-0.5: lam0 = 0.25 lies below the spectral bound
+        with pytest.raises(ValueError, match="spectral bound"):
+            GeneratorMatrix(np.array([[0.0, 1.0], [0.25, 0.0]]), lam0=0.25)
 
 
 # ---------------------------------------------------------------------------
