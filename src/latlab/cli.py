@@ -10,7 +10,9 @@ summary, idempotently by run id.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -115,15 +117,19 @@ def _grid_space(domain: GridDomain, p: float) -> OrderedSpaceSpec:
 
 
 def _build_scheme(family: str, domain: GridDomain, seed: int):
-    if family == "mollifier":
-        return mollifier_scheme(domain)
-    if family == "resolvent-neumann":
-        gen = neumann_laplacian_1d(domain.node_count, domain.h)
-        return resolvent_scheme(gen)
-    if family == "resolvent-multiplication":
-        rng = np.random.default_rng(seed + 10_000)
-        m = rng.uniform(0.0, 3.0, size=domain.node_count)
-        return resolvent_scheme(multiplication_generator(m))
+    """The scheme ``family`` on ``domain``; a config it cannot build is a usage error."""
+    try:
+        if family == "mollifier":
+            return mollifier_scheme(domain)
+        if family == "resolvent-neumann":
+            gen = neumann_laplacian_1d(domain.node_count, domain.h)
+            return resolvent_scheme(gen)
+        if family == "resolvent-multiplication":
+            rng = np.random.default_rng(seed + 10_000)
+            m = rng.uniform(0.0, 3.0, size=domain.node_count)
+            return resolvent_scheme(multiplication_generator(m))
+    except ValueError as exc:
+        raise UsageError(f"cannot build scheme {family!r}: {exc}") from exc
     raise UsageError(f"unknown scheme family {family!r}")
 
 
@@ -378,7 +384,12 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     add("multiplication-sqrt21-over-4", abs(val - math.sqrt(21.0) / 4.0),
         abs(val - math.sqrt(21.0) / 4.0) <= 1e-12)
 
-    gen = neumann_laplacian_1d(cfg["domain"]["n"], 1.0 / (cfg["domain"]["n"] - 1))
+    n = cfg["domain"]["n"]
+    try:
+        domain = GridDomain.interval(0.0, 1.0, n)
+        gen = neumann_laplacian_1d(n, domain.h)
+    except ValueError as exc:
+        raise UsageError(f"cannot build the Neumann generator on {n} nodes: {exc}") from exc
     R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
     for mu, R in ((1.0, R1), (2.0, R2)):
         add(f"neumann-resolvent-positivity-mu{mu:g}", float(np.min(R)),
@@ -386,9 +397,9 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     resid = float(np.max(np.abs(R1 - R2 - (2.0 - 1.0) * (R1 @ R2))))
     add("resolvent-identity", resid, resid <= 1e-9)
 
-    base = _grid_space(GridDomain.interval(0.0, 1.0, cfg["domain"]["n"]), cfg["order"]["p"])
+    base = _grid_space(domain, cfg["order"]["p"])
     space = ExtrapolationSpace.build(base, gen, lam=1.0)
-    t = np.linspace(0.0, 1.0, cfg["domain"]["n"])
+    t = np.linspace(0.0, 1.0, n)
     z = _trig_profile(rng, t, curvature=40.0)
     gap, error = _sup_gap(
         lambda: extrapolation.theorem41_sup(space, z, tol=cfg["scheme"]["tol"]), z)
@@ -615,12 +626,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def write_report(cfg: dict, rows: list[ReportRow], out_dir) -> tuple[Path, Path]:
     """Write the CSV and the JSON summary; returns both paths."""
     cfg = normalize_config(cfg)
@@ -628,16 +633,18 @@ def write_report(cfg: dict, rows: list[ReportRow], out_dir) -> tuple[Path, Path]
     rid = run_id_of(cfg)
     out_dir = Path(out_dir)
     columns = ["case"] + spec["params"] + spec["values"] + ["status", "witness"]
-    lines = [f"# schema={SCHEMA_VERSION},run_id={rid},experiment={cfg['experiment']}"]
-    lines.append(",".join(columns))
+    fh = io.StringIO()
+    fh.write(f"# schema={SCHEMA_VERSION},run_id={rid},experiment={cfg['experiment']}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
         cells = [row.case]
         cells += [_fmt(row.params.get(k, "")) for k in spec["params"]]
         cells += [_fmt(row.values.get(k, "")) for k in spec["values"]]
         cells += [row.status, row.witness]
-        lines.append(",".join(_csv_quote(c) for c in cells))
+        writer.writerow(cells)
     csv_path = out_dir / f"{cfg['experiment']}-{rid}.csv"
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, fh.getvalue())
 
     n_pass = sum(r.status == "PASS" for r in rows)
     n_fail = len(rows) - n_pass
@@ -672,10 +679,11 @@ def report_merge(paths) -> dict:
             text = path.read_text()
         except OSError as exc:
             raise MergeError(f"{path}: cannot read ({exc})") from exc
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("# schema="):
+        reader = csv.reader(text.splitlines(keepends=True))
+        first = next(reader, [])
+        if not first or not first[0].startswith("# schema="):
             raise MergeError(f"{path}:1: missing schema header")
-        header = dict(item.split("=", 1) for item in lines[0][2:].split(","))
+        header = dict(item.split("=", 1) for item in [first[0][2:], *first[1:]])
         if header.get("schema") != str(SCHEMA_VERSION):
             raise MergeError(f"{path}:1: unsupported schema {header.get('schema')!r}")
         rid, experiment = header.get("run_id"), header.get("experiment")
@@ -684,7 +692,7 @@ def report_merge(paths) -> dict:
         if rid in seen:
             continue
         seen.add(rid)
-        columns = lines[1].split(",")
+        columns = next(reader, [])
         if "status" not in columns:
             raise MergeError(f"{path}:2: missing status column")
         status_idx = columns.index("status")
@@ -692,10 +700,10 @@ def report_merge(paths) -> dict:
         gap_idx = columns.index(gap_field) if gap_field in columns else None
         bucket = per_experiment.setdefault(
             experiment, {"pass": 0, "fail": 0, "worst_gap": None})
-        for lineno, line in enumerate(lines[2:], start=3):
-            if not line.strip():
+        for cells in reader:
+            if not cells:
                 continue
-            cells = _parse_csv_line(line)
+            lineno = reader.line_num
             if len(cells) != len(columns):
                 raise MergeError(
                     f"{path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
@@ -722,12 +730,6 @@ def report_merge(paths) -> dict:
         "status": "FAIL" if total_fail else "PASS",
         "witnesses": witnesses,
     }
-
-
-def _parse_csv_line(line: str) -> list[str]:
-    import csv as _csv
-    import io
-    return next(_csv.reader(io.StringIO(line)))
 
 
 # ---------------------------------------------------------------------------

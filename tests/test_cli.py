@@ -89,6 +89,21 @@ def test_extrapolation_demo_nonconvergence_is_a_fail_row(tmp_path):
     assert "did not converge" in json.loads(failed[0]["witness"])["error"]
 
 
+@pytest.mark.parametrize("experiment, raw", [
+    ("extrapolation-demo", {"domain": {"kind": "interval", "n": 2}}),
+    ("sup-construct", {"domain": {"kind": "interval", "n": 64},
+                       "scheme": {"family": "mollifier"}}),
+], ids=["neumann-on-two-nodes", "mollifier-on-interval"])
+def test_unbuildable_scheme_is_a_usage_error(experiment, raw, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot build")
+    assert not out.exists()
+
+
 def _merge(paths, out: Path) -> dict:
     assert main(["report-merge", *map(str, paths), "--out", str(out)]) == 0
     return json.loads(out.read_text())
@@ -114,3 +129,11 @@ def test_report_merge_short_row_names_file_and_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.json")]) == 2
     assert f"{bad}:3" in capsys.readouterr().err
+
+
+def test_report_merge_header_only_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "header-only.csv"
+    bad.write_text("# schema=1,run_id=0,experiment=sup-construct\n")
+    capsys.readouterr()
+    assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{bad}:2: missing status column" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latlab.ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
@@ -59,6 +59,15 @@ class TestSpanNorm:
                 alt = space.norm.value(np.maximum(x, 0) + s) + \
                     space.norm.value(np.maximum(-x, 0) + s)
                 assert alt >= res.value - 1e-10
+        # weighted lp norms are monotone on the cone, so s = 0 is optimal
+        for p in (2.0, 3.0):
+            space = OrderedSpaceSpec.standard_lp(np.linspace(0.5, 2.0, 5), p)
+            for _ in range(10):
+                x = rng.standard_normal(5)
+                xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
+                res = span_norm(space, x)
+                assert res.value == space.norm.value(xp) + space.norm.value(xm)
+                assert np.array_equal(res.y, xp)
 
     def test_decomposition_feasible(self):
         space = l2_space(6)
@@ -96,15 +105,34 @@ class TestSpanNorm:
             span_norm(space, np.array([1.0, -1.0]))
 
     @given(st.integers(0, 10 ** 6))
+    @example(241)  # the W^{2,2} vector's first L-BFGS-B solve stalls uncertified
     @settings(max_examples=25, deadline=None)
     def test_sobolev_span_norm_feasible(self, seed):
-        domain = GridDomain.interval(0.0, 1.0, 6)
-        space = OrderedSpaceSpec.standard_sobolev(domain, 1, 2.0)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(6)
-        res = span_norm(space, x)
-        assert np.all(res.y >= 0) and np.all(res.z >= 0)
-        assert np.max(np.abs(res.y - res.z - x)) <= 1e-12
+        for k, p, n in [(1, 2.0, 6), (1, 3.0, 8), (2, 2.0, 10)]:
+            domain = GridDomain.interval(0.0, 1.0, n)
+            space = OrderedSpaceSpec.standard_sobolev(domain, k, p)
+            x = rng.standard_normal(n)
+            res = span_norm(space, x)
+            assert np.all(res.y >= 0) and np.all(res.z >= 0)
+            assert np.max(np.abs(res.y - res.z - x)) <= 1e-12
+            if np.all(x >= 0) or np.all(x <= 0):
+                continue  # on the cone (or its negative) no solve runs
+            # KKT: s = min(y, z) >= 0 and the gradient is >= 0, = 0 where s > 0
+            s = np.minimum(res.y, res.z)
+            g = space.norm.grad(res.y) + space.norm.grad(res.z)
+            assert np.max(np.abs(np.minimum(s, g))) <= 1e-6 * (1.0 + res.value)
+
+    def test_uncertified_solve_raises_with_best(self, monkeypatch):
+        grad = NormSpec.grad
+        monkeypatch.setattr(NormSpec, "grad", lambda self, x: -grad(self, x))
+        x = np.array([1.0, -2.0, 0.5, -0.25])
+        with pytest.raises(ConvergenceError) as info:
+            span_norm(l2_space(4), x)
+        best = info.value.best
+        assert np.all(best.y >= 0) and np.all(best.z >= 0)
+        assert np.max(np.abs(best.y - best.z - x)) <= 1e-12
+        assert info.value.diagnostics["kkt_residual"] > 1e-6
 
 
 # ---------------------------------------------------------------------------
