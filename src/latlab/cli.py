@@ -385,11 +385,8 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
         abs(val - math.sqrt(21.0) / 4.0) <= 1e-12)
 
     n = cfg["domain"]["n"]
-    try:
-        domain = GridDomain.interval(0.0, 1.0, n)
-        gen = neumann_laplacian_1d(n, domain.h)
-    except ValueError as exc:
-        raise UsageError(f"cannot build the Neumann generator on {n} nodes: {exc}") from exc
+    domain = GridDomain.interval(0.0, 1.0, n)
+    gen = neumann_laplacian_1d(n, domain.h)
     R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
     for mu, R in ((1.0, R1), (2.0, R2)):
         add(f"neumann-resolvent-positivity-mu{mu:g}", float(np.min(R)),
@@ -590,6 +587,9 @@ def normalize_config(raw: dict) -> dict:
         raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
         raise UsageError(f"samples must be a positive integer, got {cfg['samples']!r}")
+    n = cfg["domain"]["n"]
+    if not isinstance(n, int) or n < 4:
+        raise UsageError(f"cannot build a grid with domain.n = {n!r}; need an integer >= 4")
     return cfg
 
 
@@ -683,7 +683,10 @@ def report_merge(paths) -> dict:
         first = next(reader, [])
         if not first or not first[0].startswith("# schema="):
             raise MergeError(f"{path}:1: missing schema header")
-        header = dict(item.split("=", 1) for item in [first[0][2:], *first[1:]])
+        try:
+            header = dict(item.split("=", 1) for item in [first[0][2:], *first[1:]])
+        except ValueError as exc:
+            raise MergeError(f"{path}:1: header cells must read key=value") from exc
         if header.get("schema") != str(SCHEMA_VERSION):
             raise MergeError(f"{path}:1: unsupported schema {header.get('schema')!r}")
         rid, experiment = header.get("run_id"), header.get("experiment")

@@ -1,8 +1,9 @@
 """Finite-dimensional ordered-space algebra.
 
-Polyhedral cones in inequality form with LP-backed pointedness and duality,
-lattice oracles for the standard cone, Riesz decomposition, and witness-based
-lower bounds for the normality constant M and the decomposition constant C.
+Polyhedral cones in inequality form with rank-certified pointedness and
+duality, lattice oracles that minimize over enumerated polyhedron vertices,
+Riesz decomposition, and witness-based lower bounds for the normality constant
+M and the decomposition constant C.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import sobolev_grid
 from .sobolev_grid import GridDomain, GridFunction
 
 CONE_TOL = 1e-10   # absolute tolerance for cone membership
-LP_TOL = 1e-9      # feasibility tolerance for all linear programs
+LP_TOL = 1e-9      # feasibility tolerance for linear programs and polyhedron vertices
 
 
 class DegenerateConeError(ValueError):
@@ -32,9 +33,10 @@ class DegenerateConeError(ValueError):
 class PolyhedralCone:
     """Cone {x : ineq @ x >= 0 componentwise} in inequality form.
 
-    Pointedness (trivial lineality space) is certified by linear programming
-    at construction; the unchecked ``wedge`` constructor is the escape hatch
-    for deliberately degenerate systems.
+    Pointedness is certified at construction by a rank test: the lineality
+    space of {ineq @ x >= 0} is the kernel of ``ineq``.  The unchecked
+    ``wedge`` constructor is the escape hatch for deliberately degenerate
+    systems.
     """
 
     dim: int
@@ -49,7 +51,8 @@ class PolyhedralCone:
             )
         ineq.setflags(write=False)
         object.__setattr__(self, "ineq", ineq)
-        if self.checked and not self.is_standard() and not _pointed_by_lp(ineq):
+        if (self.checked and not self.is_standard()
+                and np.linalg.matrix_rank(ineq) < self.dim):
             raise DegenerateConeError("inequality system has nontrivial lineality space")
 
     @classmethod
@@ -78,23 +81,6 @@ class PolyhedralCone:
         return np.all(X @ self.ineq.T >= -tol, axis=1)
 
 
-def _pointed_by_lp(ineq: np.ndarray) -> bool:
-    # lineality space = {x : ineq x = 0}; probe each coordinate direction
-    m, d = ineq.shape
-    if np.linalg.matrix_rank(ineq) < d:
-        return False
-    for i in range(d):
-        c = np.zeros(d)
-        c[i] = -1.0
-        res = scipy.optimize.linprog(
-            c, A_eq=ineq, b_eq=np.zeros(m), bounds=[(-1.0, 1.0)] * d,
-            method="highs",
-        )
-        if res.status != 0 or res.fun < -LP_TOL:
-            return False
-    return True
-
-
 def _interior_point_value(cone: PolyhedralCone) -> float:
     # max t s.t. ineq x >= t, |x| <= 1; positive iff the cone is solid
     A = cone.ineq
@@ -113,8 +99,8 @@ def _interior_point_value(cone: PolyhedralCone) -> float:
 def cone_generators(cone: PolyhedralCone) -> np.ndarray:
     """Extreme rays of a pointed solid cone, one per row.
 
-    Enumerates (dim-1)-subsets of active inequalities; exact for the small
-    dense systems the lab works with.
+    Enumerates the C(m, dim-1) subsets of active inequalities; exact for the
+    small dense systems the lab works with.
     """
     A = cone.ineq
     m, d = A.shape
@@ -142,6 +128,26 @@ def cone_generators(cone: PolyhedralCone) -> np.ndarray:
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     _, keep = np.unique(np.round(rays, 10), axis=0, return_index=True)
     return rays[np.sort(keep)]
+
+
+def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Vertices of {z : lo <= A z <= hi}, one per row; a bound may be infinite.
+
+    Solves A_S z = b_S on each full-rank subset S of the C(m, d) subsets of d
+    rows, with b_i a finite bound of row i, and keeps the feasible solutions.
+    A degenerate vertex appears once per subset that pins it.
+    """
+    m, d = A.shape
+    bounds = np.column_stack([lo, hi])
+    blocks = [np.empty((0, d))]
+    for rows in map(list, itertools.combinations(range(m), d)):
+        if np.linalg.matrix_rank(A[rows]) == d:
+            rhs = np.array(list(itertools.product(*(b[np.isfinite(b)] for b in bounds[rows]))))
+            blocks.append(np.linalg.solve(A[rows], rhs.T).T)
+    V = np.concatenate(blocks)
+    AV = V @ A.T
+    tol = LP_TOL * (1.0 + np.abs(AV))
+    return V[np.all((AV >= lo - tol) & (AV <= hi + tol), axis=1)]
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
@@ -318,8 +324,11 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, directions: int = 64,
 
     Componentwise max for the standard cone.  For a general polyhedral cone,
     minimizes random dual-cone objectives over the set of common upper
-    bounds; a unique answer across all directions is returned, disagreement
-    beyond ``agree_tol`` yields None.
+    bounds {s : A s >= max(Ax, Ay)}; a unique answer across all directions
+    is returned, disagreement beyond ``agree_tol`` yields None.  Every such
+    objective is positive on the recession cone (the cone itself), so each
+    minimum sits at a vertex: the vertices are enumerated once and each
+    direction takes its minimizer among them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -328,21 +337,11 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, directions: int = 64,
     if space.cone.is_standard():
         return np.maximum(x, y)
     A = space.cone.ineq
-    m = A.shape[0]
-    rng = np.random.default_rng(seed)
-    A_ub = np.vstack([-A, -A])
-    b_ub = np.concatenate([-(A @ x), -(A @ y)])
-    minimizers = []
-    for _ in range(directions):
-        lam = rng.uniform(0.1, 1.0, size=m)
-        c = A.T @ lam
-        res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub,
-                                     bounds=[(None, None)] * space.dim,
-                                     method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"upper-bound LP failed with status {res.status}")
-        minimizers.append(res.x)
-    minimizers = np.array(minimizers)
+    V = _vertices(A, np.maximum(A @ x, A @ y), np.full(len(A), np.inf))
+    if not len(V):
+        raise RuntimeError("the set of common upper bounds has no vertex")
+    lam = np.random.default_rng(seed).uniform(0.1, 1.0, size=(directions, len(A)))
+    minimizers = V[np.argmin(V @ (lam @ A).T, axis=0)]
     spread = np.max(minimizers.max(axis=0) - minimizers.min(axis=0))
     if spread > agree_tol:
         return None
@@ -432,8 +431,9 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
     """Sampled face test: search for 0 <= z <= g with g generated, z outside.
 
     Sound on the sampled set; the search picks order-interval extreme points
-    by LP (componentwise for the standard ambient cone) and tests membership
-    in the generated cone by nonnegative least squares.
+    (componentwise for the standard ambient cone, otherwise the minimizer of a
+    random objective over the enumerated vertices of [0, y]) and tests
+    membership in the generated cone by nonnegative least squares.
     """
     G = np.atleast_2d(np.asarray(image_generators, dtype=float))
     if G.shape[1] != ambient.dim:
@@ -457,15 +457,11 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
                 yield mask * y
         else:
             A = ambient.ineq
-            A_ub = np.vstack([-A, A])
-            b_ub = np.concatenate([np.zeros(A.shape[0]), A @ y])
+            V = _vertices(A, np.zeros(A.shape[0]), A @ y)
+            if not len(V):
+                raise DegenerateConeError("order interval has no vertex; ambient not pointed")
             while True:
-                c = rng.standard_normal(ambient.dim)
-                res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub,
-                                             bounds=[(None, None)] * ambient.dim,
-                                             method="highs")
-                if res.status == 0:
-                    yield res.x
+                yield V[np.argmin(V @ rng.standard_normal(ambient.dim))]
 
     # sample upper elements: the generators themselves, then random combos
     def upper_elements():

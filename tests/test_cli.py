@@ -137,3 +137,23 @@ def test_report_merge_header_only_names_file_and_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.json")]) == 2
     assert f"{bad}:2: missing status column" in capsys.readouterr().err
+
+
+def test_report_merge_malformed_header_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bogus-header.csv"
+    bad.write_text("# schema=1,bogus\ncase,status,witness\nc0,PASS,\n")
+    capsys.readouterr()
+    assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{bad}:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["mollifier-rate", "sup-construct"])
+def test_grid_too_small_is_a_usage_error(experiment, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment,
+                                  "domain": {"kind": "torus", "n": 2}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+    assert "domain.n = 2" in capsys.readouterr().err
+    assert not out.exists()

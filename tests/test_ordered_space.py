@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlab.ordered_space import (
     DegenerateConeError,
+    LP_TOL,
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
@@ -20,6 +22,7 @@ from latlab.ordered_space import (
     riesz_decompose,
     supremum_oracle,
 )
+from latlab.ordered_space import _vertices
 from latlab.sobolev_grid import GridDomain
 
 
@@ -31,6 +34,18 @@ def ice_cream_cone():
 
 def l2_space(dim):
     return OrderedSpaceSpec.standard_lp(np.ones(dim), 2.0)
+
+
+def seeded_cone_rows(rng, d, extra_row):
+    # a strictly diagonally dominant square system (a simplicial cone), and
+    # optionally one more row c @ A with a negative coefficient that cuts off
+    # an extreme ray while sum(c) > 0 keeps A^{-1} 1 inside
+    A = np.eye(d) + rng.uniform(-0.15, 0.15, size=(d, d)) * (1.0 - np.eye(d))
+    if extra_row:
+        c = rng.uniform(0.2, 1.0, size=d)
+        c[rng.integers(d)] = -0.1
+        A = np.vstack([A, c @ A])
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +136,38 @@ class TestDualCone:
 # supremum oracle
 # ---------------------------------------------------------------------------
 
+class TestVertexMinimum:
+    """The vertex minimum of a linear objective against HiGHS on 50 cones."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("extra_row", [False, True], ids=["simplicial", "cut"])
+    def test_matches_linprog(self, d, extra_row):
+        rng = np.random.default_rng([d, extra_row])
+        for _ in range(5):
+            A = seeded_cone_rows(rng, d, extra_row)
+            m = len(A)
+            # upper bounds of x and y, with objectives A^T lam positive on the cone
+            lo = np.maximum(A @ rng.standard_normal(d), A @ rng.standard_normal(d))
+            V = _vertices(A, lo, np.full(m, np.inf))
+            for _ in range(3):
+                c = A.T @ rng.uniform(0.1, 1.0, size=m)
+                res = scipy.optimize.linprog(c, A_ub=-A, b_ub=-lo,
+                                             bounds=[(None, None)] * d, method="highs")
+                assert res.status == 0
+                assert abs(np.min(V @ c) - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+            # the order interval [0, y], y inside the cone or on an extreme ray
+            for y in (np.linalg.solve(A[:d], rng.uniform(1.0, 1.5, size=d)),
+                      cone_generators(PolyhedralCone(d, A))[0]):
+                V = _vertices(A, np.zeros(m), A @ y)
+                for _ in range(3):
+                    c = rng.standard_normal(d)
+                    res = scipy.optimize.linprog(
+                        c, A_ub=np.vstack([-A, A]), b_ub=np.concatenate([np.zeros(m), A @ y]),
+                        bounds=[(None, None)] * d, method="highs")
+                    assert res.status == 0
+                    assert abs(np.min(V @ c) - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+
 class TestSupremumOracle:
     def test_standard_componentwise_max(self):
         s = supremum_oracle(l2_space(2), np.array([1.0, -2.0]), np.array([0.0, 3.0]))
@@ -145,6 +192,16 @@ class TestSupremumOracle:
         s = supremum_oracle(space, np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
         assert s is not None
         assert np.allclose(s, [0.0, 0.0, 1.0], atol=1e-7)
+
+    def test_simplicial_cone_closed_form(self):
+        # {A s >= max(Ax, Ay)} has the single vertex A^{-1} max(Ax, Ay)
+        rng = np.random.default_rng(5)
+        A = seeded_cone_rows(rng, 4, extra_row=False)
+        space = OrderedSpaceSpec(4, PolyhedralCone(4, A), NormSpec.lp(np.ones(4), 2.0))
+        for _ in range(20):
+            x, y = rng.standard_normal((2, 4))
+            expected = np.linalg.solve(A, np.maximum(A @ x, A @ y))
+            assert np.allclose(supremum_oracle(space, x, y), expected, rtol=0.0, atol=1e-12)
 
     def test_lattice_axioms_exact(self):
         space = l2_space(4)
@@ -317,6 +374,27 @@ class TestIsFace:
     def test_generator_outside_ambient_rejected(self):
         with pytest.raises(ValueError):
             is_face(np.array([[1.0, -1.0]]), PolyhedralCone.standard(2))
+
+    def test_ice_cream_extreme_ray_is_a_face(self):
+        report = is_face(np.array([[1.0, 0.0, 1.0]]), ice_cream_cone(), sample_size=64)
+        assert report.is_face and report.samples_checked == 64
+
+    def test_ice_cream_axis_ray_not_a_face(self):
+        cone = ice_cream_cone()
+        report = is_face(np.array([[0.0, 0.0, 1.0]]), cone, sample_size=64)
+        assert not report.is_face
+        z, y = report.witness
+        A = cone.ineq
+        assert np.all(A @ z >= -LP_TOL) and np.all(A @ z <= A @ y + LP_TOL)
+        assert not in_generated_cone(np.array([[0.0, 0.0, 1.0]]), z)
+
+    def test_rank_deficient_ambient_rejected(self):
+        # four rows in R^3 that all vanish on the x3 axis
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+        with pytest.raises(DegenerateConeError):
+            PolyhedralCone(3, A)
+        with pytest.raises(DegenerateConeError):
+            is_face(np.array([[0.0, 0.0, 1.0]]), PolyhedralCone.wedge(A))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_every_coordinate_subcone_exhaustively(self, dim):
