@@ -131,7 +131,7 @@ def cone_generators(cone: PolyhedralCone) -> np.ndarray:
 
 
 def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vertices of {z : lo <= A z <= hi}, one per row; a bound may be infinite.
+    """Vertices of {z : lo <= A z <= hi} as rows; a bound may be infinite.
 
     Solves A_S z = b_S on each full-rank subset S of the C(m, d) subsets of d
     rows, with b_i a finite bound of row i, and keeps the feasible solutions.

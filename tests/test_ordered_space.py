@@ -21,8 +21,8 @@ from latlab.ordered_space import (
     normality_constant_lower_bound,
     riesz_decompose,
     supremum_oracle,
+    _vertices,
 )
-from latlab.ordered_space import _vertices
 from latlab.sobolev_grid import GridDomain
 
 
