@@ -156,6 +156,8 @@ def _sup_gap(compute, z: np.ndarray) -> tuple[float, str]:
 def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     name = "sup-construct-dual" if dual else "sup-construct"
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
+    if kind not in ("torus", "interval"):
+        raise UsageError(f"{name} runs on a torus or an interval, not {kind!r}")
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
     p = cfg["order"]["p"]
     scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
@@ -587,9 +589,9 @@ def normalize_config(raw: dict) -> dict:
         raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
         raise UsageError(f"samples must be a positive integer, got {cfg['samples']!r}")
-    n = cfg["domain"]["n"]
-    if not isinstance(n, int) or n < 4:
-        raise UsageError(f"cannot build a grid with domain.n = {n!r}; need an integer >= 4")
+    for field, n in (("domain.n", cfg["domain"]["n"]), ("rect_n", cfg.get("rect_n", 4))):
+        if not isinstance(n, int) or n < 4:
+            raise UsageError(f"cannot build a grid with {field} = {n!r}; need an integer >= 4")
     return cfg
 
 

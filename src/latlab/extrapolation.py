@@ -11,7 +11,6 @@ hidden.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -204,8 +203,7 @@ def resolvent_scheme(gen: GeneratorMatrix, n_min: int = 2,
             cache[n] = n * resolvent(gen, n)
         return cache[n]
 
-    return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max,
-                               name="resolvent")
+    return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max)
 
 
 def theorem41_sup(space: ExtrapolationSpace, z, tol: float,
@@ -288,33 +286,3 @@ def multiplication_example_check(m, p: float = 2.0, mu_weights=None,
     )
     passed = worst <= 1e-12 and agree == trials and semi_min >= -1e-12
     return MultiplicationReport(worst, agree, trials, semi_min, passed)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def generator_to_json(gen: GeneratorMatrix, kind: str, lam: float,
-                      n: int | None = None, h: float | None = None) -> str:
-    """JSON wire format {"n", "h", "kind", "m", "lambda"}."""
-    if kind == "multiplication":
-        m = list(-np.diag(gen.A))
-        payload = {"n": gen.dim, "h": h, "kind": kind, "m": m, "lambda": lam}
-    elif kind == "neumann_laplacian":
-        payload = {"n": gen.dim, "h": h, "kind": kind, "m": None, "lambda": lam}
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return json.dumps(payload)
-
-
-def generator_from_json(text: str) -> tuple[GeneratorMatrix, float]:
-    payload = json.loads(text)
-    kind = payload["kind"]
-    lam = float(payload["lambda"])
-    if kind == "multiplication":
-        gen = multiplication_generator(np.asarray(payload["m"], dtype=float))
-    elif kind == "neumann_laplacian":
-        gen = neumann_laplacian_1d(int(payload["n"]), float(payload["h"]))
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return gen, lam

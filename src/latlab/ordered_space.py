@@ -2,8 +2,8 @@
 
 Polyhedral cones in inequality form with rank-certified pointedness and
 duality, lattice oracles that minimize over enumerated polyhedron vertices,
-Riesz decomposition, and witness-based lower bounds for the normality constant
-M and the decomposition constant C.
+a witness-based lower bound for the normality constant M, and a sampled
+face test.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class PolyhedralCone:
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got shape {x.shape}")
         return bool(np.all(self.ineq @ x >= -tol))
-
-    def contains_many(self, X, tol: float = CONE_TOL) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.all(X @ self.ineq.T >= -tol, axis=1)
 
 
 def _interior_point_value(cone: PolyhedralCone) -> float:
@@ -351,24 +347,6 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, directions: int = 64,
     return s
 
 
-def riesz_decompose(x, y, w):
-    """Split w = w1 + w2 with 0 <= w1 <= x and 0 <= w2 <= y.
-
-    Standard-cone order; uses the componentwise minimum, which realizes
-    [0, x+y] = [0, x] + [0, y] exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    tol = 1e-12
-    if np.any(x < -tol) or np.any(y < -tol):
-        raise ValueError("x and y must be nonnegative")
-    if np.any(w < -tol) or np.any(w > x + y + tol):
-        raise ValueError("w must satisfy 0 <= w <= x + y")
-    w1 = np.minimum(w, x)
-    return w1, w - w1
-
-
 # ---------------------------------------------------------------------------
 # Constants of the order structure
 # ---------------------------------------------------------------------------
@@ -396,27 +374,8 @@ def normality_constant_lower_bound(space: OrderedSpaceSpec, witnesses) -> float:
     return best
 
 
-def decomposition_constant_estimate(space: OrderedSpaceSpec, samples) -> float:
-    """max (||y|| + ||z||) / ||x|| over the minimizing decompositions x = y - z.
-
-    A lower bound for the decomposition constant C; zero samples are skipped.
-    """
-    from .span_lattice import span_norm  # deferred: span_lattice builds on this module
-
-    best = None
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        nx = space.norm.value(x)
-        if nx == 0.0:
-            continue
-        best = max(best or 0.0, span_norm(space, x).value / nx)
-    if best is None:
-        raise ValueError("all samples were zero")
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Faces and lattice homomorphisms
+# Faces
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -484,25 +443,3 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
             if checked >= sample_size:
                 break
     return FaceReport(True, None, checked)
-
-
-@dataclass(frozen=True)
-class LatticeHomReport:
-    max_defect: float
-    passed: bool
-    worst_sample: np.ndarray | None
-
-
-def lattice_hom_check(J: np.ndarray, domain: OrderedSpaceSpec, samples,
-                      tol: float = 1e-10) -> LatticeHomReport:
-    """Report max over samples of || |Jx| - J|x| ||_inf; PASS iff <= tol."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    if J.shape[1] != domain.dim:
-        raise ValueError("map domain dimension mismatch")
-    worst, worst_x = 0.0, None
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        defect = float(np.max(np.abs(np.abs(J @ x) - J @ np.abs(x))))
-        if defect > worst:
-            worst, worst_x = defect, x
-    return LatticeHomReport(worst, worst <= tol, worst_x)

@@ -117,14 +117,6 @@ class GridDomain:
         hi = np.asarray(self.hi) - margin
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        if self.periodic:
-            raise ValueError("torus has no boundary")
-        pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.minimum(pts - lo, hi - pts).min(axis=1)
-
 
 @dataclass
 class GridFunction:
@@ -142,36 +134,6 @@ class GridFunction:
 
     def copy_with(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.domain, values)
-
-
-def gridfunction_to_csv(f: GridFunction, path) -> None:
-    """Write ``# domain=<kind>,n=<n>,h=<h>`` then one value per line."""
-    dom = f.domain
-    with open(path, "w") as fh:
-        fh.write(f"# domain={dom.kind},n={dom.n},h={dom.h:.17g}\n")
-        for v in f.values:
-            fh.write(f"{v:.17g}\n")
-
-
-def gridfunction_from_csv(path) -> GridFunction:
-    """Read the CSV format above; domains are reconstructed anchored at 0."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# domain="):
-            raise ValueError(f"{path}: missing grid-function header")
-        fields = dict(item.split("=") for item in header[2:].split(","))
-        kind, n, h = fields["domain"], int(fields["n"]), float(fields["h"])
-        values = np.array([float(line) for line in fh if line.strip()])
-    if kind == "interval":
-        dom = GridDomain.interval(0.0, h * (n - 1), n)
-    elif kind == "torus":
-        dom = GridDomain.torus(h * n, n)
-    elif kind == "rectangle":
-        side = h * (n - 1)
-        dom = GridDomain.rectangle(0.0, side, 0.0, side, n)
-    else:
-        raise ValueError(f"{path}: unknown domain kind {kind!r}")
-    return GridFunction(dom, values)
 
 
 # ---------------------------------------------------------------------------
@@ -704,43 +666,11 @@ class PushinOperator:
             inside |= np.all((pts >= lo) & (pts <= hi), axis=1)
         return inside
 
-    def k_boundary_distance(self) -> float:
-        """Exact dist(K_n, boundary) from the chart image boxes."""
-        lo_d = np.asarray(self.domain.lo)
-        hi_d = np.asarray(self.domain.hi)
-        dist = math.inf
-        for lo, hi in self.k_boxes:
-            dist = min(dist, float(np.min(np.minimum(lo - lo_d, hi_d - hi))))
-        return dist
-
 
 def pushin_operator(domain: GridDomain, n: int,
                     r: float = _DEFAULT_BOUNDARY_R) -> PushinOperator:
     """Build the push-in operator S_n with the default chart cover."""
     return PushinOperator(domain, n, r=r)
-
-
-class BoundaryApproxOp:
-    """R_n f = mollify(S_n f, delta_n) with delta_n = dist(K_n, boundary)/3."""
-
-    def __init__(self, domain: GridDomain, n: int, r: float = _DEFAULT_BOUNDARY_R,
-                 pushin: PushinOperator | None = None):
-        self.pushin = pushin if pushin is not None else PushinOperator(domain, n, r=r)
-        self.domain = domain
-        self.n = n
-        self.delta = self.pushin.k_boundary_distance() / 3.0
-        if self.delta < 2.0 * domain.h - 1e-12:
-            raise GridTooCoarseError(
-                f"delta_n = {self.delta:g} below 2h = {2 * domain.h:g}; refine the grid"
-            )
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return mollify(self.pushin.apply(f), self.delta)
-
-
-def approx_identity_with_boundary(domain: GridDomain, n: int,
-                                  r: float = _DEFAULT_BOUNDARY_R) -> BoundaryApproxOp:
-    return BoundaryApproxOp(domain, n, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import scipy.ndimage
 import scipy.optimize
 from scipy.sparse.linalg import LinearOperator
 
-from .ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
+from .ordered_space import OrderedSpaceSpec
 from .sobolev_grid import ConvergenceError, GridDomain, Mollifier
 
 
@@ -215,27 +215,21 @@ def identity_operator(N: int) -> LinearOperator:
                           rmatmat=same, dtype=float)
 
 
-def _entrywise_nonneg(op, tol: float = 1e-12) -> bool:
-    return bool(np.min(op @ np.eye(op.shape[1])) >= -tol)
-
-
-class SchemeValidationError(ValueError):
-    """Approximation scheme violates positivity or fails to converge."""
-
-
 @dataclass(frozen=True)
 class ApproximationScheme:
     """Embedding J with positive approximants R_n realizing J R_n -> id.
 
     ``J`` and ``R(n)`` are an ndarray or a LinearOperator; both give ``@``
-    and ``.T``.  Indices run geometrically from n_min.
+    and ``.T``.  Indices run geometrically from n_min.  Positivity is
+    enforced where the operators are built: ``PeriodicCorrelation`` rejects
+    negative weights, ``resolvent`` checks each R_n entrywise, and ``J`` is
+    ``identity_operator`` in both scheme families.
     """
 
     J: np.ndarray | LinearOperator
     R: Callable[[int], np.ndarray | LinearOperator]
     n_min: int
     n_max: int
-    name: str = ""
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_max < self.n_min:
@@ -246,32 +240,6 @@ class ApproximationScheme:
         while n <= self.n_max:
             yield n
             n *= 2
-
-    def validate(self, validation_z, tol: float, norm: NormSpec | None = None):
-        """Positivity on basis vectors plus decreasing errors below tol."""
-        if not _entrywise_nonneg(self.J):
-            raise SchemeValidationError(f"scheme {self.name!r}: J is not positive")
-        errors = {}
-        for n in self.indices():
-            Rn = self.R(n)
-            if not _entrywise_nonneg(Rn):
-                raise SchemeValidationError(
-                    f"scheme {self.name!r}: R_{n} is not positive")
-            for i, z in enumerate(validation_z):
-                z = np.asarray(z, dtype=float)
-                err = self.J @ (Rn @ z) - z
-                val = norm.value(err) if norm is not None else float(np.max(np.abs(err)))
-                errors.setdefault(i, []).append(val)
-        for i, errs in errors.items():
-            if errs[-1] > tol:
-                raise SchemeValidationError(
-                    f"scheme {self.name!r}: validation error {errs[-1]:.3e} "
-                    f"above {tol:.1e} on vector {i}")
-            if any(b > a * (1.0 + 1e-9) + 1e-15 for a, b in zip(errs, errs[1:])):
-                raise SchemeValidationError(
-                    f"scheme {self.name!r}: validation errors not decreasing: {errs}")
-        return errors
-
 
 def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
     """Torus scheme R_n = convolution with the bump at scale 1/n, J = id."""
@@ -286,7 +254,7 @@ def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
             cache[n] = PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
         return cache[n]
 
-    return ApproximationScheme(identity_operator(N), R, n_min, n_max, name="mollifier")
+    return ApproximationScheme(identity_operator(N), R, n_min, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +329,3 @@ def constructive_sup_dual(scheme: ApproximationScheme, x_dual, tol: float) -> np
         )
     return s
 
-
-# ---------------------------------------------------------------------------
-# Norm coincidence on the cone
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    gaps: list[float]
-    max_gap: float
-    passed: bool
-
-
-def cone_norm_coincidence_check(space: OrderedSpaceSpec, increasing_chain,
-                                limit, tol: float = 1e-7) -> CoincidenceReport:
-    """On positive differences the span norm equals the base norm.
-
-    The chain must increase componentwise toward the limit; each difference
-    limit - x_j is checked to be positive and to have equal norms.
-    """
-    limit = np.asarray(limit, dtype=float)
-    chain = [np.asarray(x, dtype=float) for x in increasing_chain]
-    for a, b in zip(chain, chain[1:]):
-        if np.any(b - a < -1e-12):
-            raise ValueError("chain is not increasing componentwise")
-    gaps = []
-    for xj in chain:
-        diff = limit - xj
-        if np.any(diff < -1e-12):
-            raise ValueError("chain exceeds its limit")
-        gaps.append(abs(span_norm(space, diff).value - space.norm.value(diff)))
-    max_gap = max(gaps) if gaps else 0.0
-    return CoincidenceReport(gaps, max_gap, max_gap <= tol)

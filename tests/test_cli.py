@@ -147,13 +147,29 @@ def test_report_merge_malformed_header_names_file_and_line(tmp_path, capsys):
     assert f"{bad}:1:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["mollifier-rate", "sup-construct"])
-def test_grid_too_small_is_a_usage_error(experiment, tmp_path, capsys):
+@pytest.mark.parametrize("experiment, raw, field", [
+    ("mollifier-rate", {"domain": {"kind": "torus", "n": 2}}, "domain.n"),
+    ("sup-construct", {"domain": {"kind": "torus", "n": 2}}, "domain.n"),
+    ("boundary-chart-audit", {"domains": ["rectangle"], "rect_n": 2}, "rect_n"),
+], ids=["mollifier-rate", "sup-construct", "boundary-chart-audit-rect_n"])
+def test_grid_too_small_is_a_usage_error(experiment, raw, field, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"experiment": experiment,
-                                  "domain": {"kind": "torus", "n": 2}}))
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
-    assert "domain.n = 2" in capsys.readouterr().err
+    assert f"{field} = 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["sup-construct", "sup-construct-dual"])
+def test_unknown_domain_kind_is_a_usage_error(experiment, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment,
+                                  "domain": {"kind": "sphere", "n": 64},
+                                  "scheme": {"family": "resolvent-neumann"}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

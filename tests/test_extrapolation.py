@@ -8,8 +8,6 @@ from latlab.extrapolation import (
     ExtrapolationSpace,
     GeneratorMatrix,
     extrapolation_norm,
-    generator_from_json,
-    generator_to_json,
     lambda_equivalence_report,
     multiplication_example_check,
     multiplication_generator,
@@ -258,25 +256,3 @@ class TestMultiplicationExample:
         with pytest.raises(ValueError):
             multiplication_example_check(np.ones(3), mu_weights=np.array([1.0, 0.0, 1.0]))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-class TestSerialization:
-    def test_multiplication_round_trip(self):
-        gen = multiplication_generator([0.0, 1.5, 2.0])
-        text = generator_to_json(gen, "multiplication", lam=1.0)
-        gen2, lam = generator_from_json(text)
-        assert lam == 1.0
-        assert np.allclose(gen2.A, gen.A)
-
-    def test_neumann_round_trip(self):
-        gen = neumann_laplacian_1d(9, 0.125)
-        text = generator_to_json(gen, "neumann_laplacian", lam=1.0, n=9, h=0.125)
-        gen2, lam = generator_from_json(text)
-        assert np.allclose(gen2.A, gen.A)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            generator_from_json('{"n": 3, "h": 1.0, "kind": "nope", "m": null, "lambda": 1.0}')

@@ -3,23 +3,20 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from latlab.cli import estimate_renorm_constants
 from latlab.ordered_space import (
+    CONE_TOL,
     DegenerateConeError,
     LP_TOL,
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
     cone_generators,
-    decomposition_constant_estimate,
     dual_cone,
     in_generated_cone,
     is_face,
-    lattice_hom_check,
     normality_constant_lower_bound,
-    riesz_decompose,
     supremum_oracle,
     _vertices,
 )
@@ -94,8 +91,8 @@ class TestDualCone:
         dual = dual_cone(PolyhedralCone.standard(3))
         rng = np.random.default_rng(0)
         X = rng.standard_normal((500, 3))
-        assert np.array_equal(dual.contains_many(X),
-                              PolyhedralCone.standard(3).contains_many(X))
+        assert np.array_equal(np.all(X @ dual.ineq.T >= -CONE_TOL, axis=1),
+                              np.all(X >= -CONE_TOL, axis=1))
 
     def test_example_cone_dual_against_sampled_functionals(self):
         cone = PolyhedralCone(2, np.array([[1.0, 0.0], [1.0, 1.0]]))
@@ -129,7 +126,8 @@ class TestDualCone:
         double = dual_cone(dual_cone(cone))
         rng = np.random.default_rng(2)
         X = rng.standard_normal((1000, cone.dim)) * 2
-        assert np.array_equal(cone.contains_many(X), double.contains_many(X))
+        assert np.array_equal(np.all(X @ cone.ineq.T >= -CONE_TOL, axis=1),
+                              np.all(X @ double.ineq.T >= -CONE_TOL, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -217,48 +215,6 @@ class TestSupremumOracle:
 
 
 # ---------------------------------------------------------------------------
-# Riesz decomposition
-# ---------------------------------------------------------------------------
-
-class TestRieszDecompose:
-    def test_disjoint_supports(self):
-        w1, w2 = riesz_decompose(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                                 np.array([1.0, 1.0]))
-        assert np.array_equal(w1, [1.0, 0.0]) and np.array_equal(w2, [0.0, 1.0])
-
-    def test_zero_second_summand(self):
-        w1, w2 = riesz_decompose(np.array([2.0, 2.0]), np.array([0.0, 0.0]),
-                                 np.array([1.0, 1.0]))
-        assert np.array_equal(w1, [1.0, 1.0]) and np.array_equal(w2, [0.0, 0.0])
-
-    def test_interior_split(self):
-        w1, w2 = riesz_decompose(np.array([1.0, 3.0]), np.array([2.0, 1.0]),
-                                 np.array([2.0, 2.0]))
-        assert np.array_equal(w1, [1.0, 2.0]) and np.array_equal(w2, [1.0, 0.0])
-        # both order-interval memberships, by direct inequality check
-        assert np.all(w1 >= 0) and np.all(w1 <= [1.0, 3.0])
-        assert np.all(w2 >= 0) and np.all(w2 <= [2.0, 1.0])
-
-    def test_precondition_violation(self):
-        with pytest.raises(ValueError):
-            riesz_decompose(np.array([1.0]), np.array([1.0]), np.array([3.0]))
-        with pytest.raises(ValueError):
-            riesz_decompose(np.array([-1.0]), np.array([1.0]), np.array([0.0]))
-
-    @given(st.integers(1, 6), st.integers(0, 10 ** 6))
-    @settings(max_examples=60, deadline=None)
-    def test_memberships_exact(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.integers(0, 5, size=dim).astype(float)
-        y = rng.integers(0, 5, size=dim).astype(float)
-        w = np.array([rng.integers(0, int(a + b) + 1) for a, b in zip(x, y)], dtype=float)
-        w1, w2 = riesz_decompose(x, y, w)
-        assert np.array_equal(w1 + w2, w)
-        assert np.all(w1 >= 0) and np.all(x - w1 >= 0)
-        assert np.all(w2 >= 0) and np.all(y - w2 >= 0)
-
-
-# ---------------------------------------------------------------------------
 # normality and decomposition constants
 # ---------------------------------------------------------------------------
 
@@ -319,7 +275,7 @@ class TestDecompositionConstant:
         space = OrderedSpaceSpec.standard_lp(np.ones(4), 1.0)
         rng = np.random.default_rng(7)
         samples = [rng.standard_normal(4) for _ in range(10)]
-        val = decomposition_constant_estimate(space, samples)
+        val = estimate_renorm_constants(space, samples)[1]
         assert abs(val - 1.0) <= 1e-9
         # brute force: no perturbed decomposition improves on (x+, x-)
         for x in samples[:3]:
@@ -331,7 +287,7 @@ class TestDecompositionConstant:
 
     def test_l2_antisymmetric_vector(self):
         space = l2_space(2)
-        val = decomposition_constant_estimate(space, [np.array([1.0, -1.0])])
+        val = estimate_renorm_constants(space, [np.array([1.0, -1.0])])[1]
         assert abs(val - np.sqrt(2.0)) <= 1e-7
         # 1-d scan over s >= 0 confirms s = 0 is optimal
         ss = np.linspace(0.0, 2.0, 400)
@@ -340,16 +296,8 @@ class TestDecompositionConstant:
 
     def test_positive_sample_contributes_one(self):
         space = l2_space(3)
-        assert abs(decomposition_constant_estimate(
-            space, [np.array([1.0, 2.0, 0.5])]) - 1.0) <= 1e-12
-
-    def test_zero_samples_skipped(self):
-        space = l2_space(2)
-        val = decomposition_constant_estimate(
-            space, [np.zeros(2), np.array([1.0, 1.0])])
-        assert abs(val - 1.0) <= 1e-12
-        with pytest.raises(ValueError):
-            decomposition_constant_estimate(space, [np.zeros(2)])
+        assert abs(estimate_renorm_constants(
+            space, [np.array([1.0, 2.0, 0.5])])[1] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -405,29 +353,6 @@ class TestIsFace:
                 report = is_face(eye[list(subset)], ambient, sample_size=24,
                                  seed=dim * 100 + size)
                 assert report.is_face, f"subset {subset} flagged non-face"
-
-
-# ---------------------------------------------------------------------------
-# lattice homomorphism check
-# ---------------------------------------------------------------------------
-
-class TestLatticeHomCheck:
-    def test_zero_padding_embedding(self):
-        J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        samples = [np.array([1.0, -1.0]), np.array([-2.0, 3.0])]
-        assert lattice_hom_check(J, l2_space(2), samples).passed
-
-    def test_positive_diagonal_scaling(self):
-        J = np.diag([2.0, 0.5, 3.0])
-        rng = np.random.default_rng(8)
-        samples = [rng.standard_normal(3) for _ in range(20)]
-        assert lattice_hom_check(J, l2_space(3), samples).passed
-
-    def test_shear_fails(self):
-        J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        report = lattice_hom_check(J, l2_space(2), [np.array([1.0, -1.0])])
-        assert not report.passed
-        assert report.max_defect == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,15 @@ import pytest
 import scipy.optimize
 
 from latlab.sobolev_grid import (
-    BoundaryApproxOp,
     ChartError,
     GridDomain,
     GridFunction,
     GridTooCoarseError,
     Mollifier,
-    approx_identity_with_boundary,
     build_boundary_chart,
     bump,
     default_chart_cover,
     diff_operator,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
     mollify,
     multi_indices,
     negative_sobolev_norm,
@@ -43,28 +39,6 @@ class TestGridDomain:
         pts = dom.points()
         assert pts.shape == (25, 2)
         assert dom.node_count == 25
-
-    def test_boundary_distance(self):
-        dom = GridDomain.interval(0.0, 1.0, 5)
-        d = dom.boundary_distance(np.array([[0.25], [0.9]]))
-        assert np.allclose(d, [0.25, 0.1])
-        with pytest.raises(ValueError):
-            GridDomain.torus(1.0, 8).boundary_distance(np.array([[0.5]]))
-
-    def test_csv_round_trip(self, tmp_path):
-        dom = GridDomain.interval(0.0, 1.0, 9)
-        f = GridFunction(dom, np.sin(np.arange(9.0)))
-        path = tmp_path / "f.csv"
-        gridfunction_to_csv(f, path)
-        g = gridfunction_from_csv(path)
-        assert g.domain == dom
-        assert np.array_equal(g.values, f.values)
-
-    def test_csv_missing_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0\n2.0\n")
-        with pytest.raises(ValueError):
-            gridfunction_from_csv(path)
 
     def test_value_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -276,7 +250,7 @@ class TestPushin:
         sf = op.apply(f)
         support = np.nonzero(sf.values)[0]
         pts = dom.points()[support]
-        assert dom.boundary_distance(pts).min() > 0
+        assert np.all((pts > 0.0) & (pts < 1.0))
         assert np.all(op.node_in_k(pts))
 
     def test_vanishes_outside_k_exactly(self):
@@ -324,46 +298,6 @@ class TestPushin:
     def test_torus_rejected(self):
         with pytest.raises(ValueError):
             pushin_operator(GridDomain.torus(1.0, 64), 2)
-
-
-class TestBoundaryApproxIdentity:
-    def test_positive_and_vanishing_on_boundary(self):
-        dom = GridDomain.interval(0.0, 1.0, 1025)
-        op = approx_identity_with_boundary(dom, 4)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            f = GridFunction(dom, np.abs(rng.standard_normal(1025)))
-            out = op.apply(f)
-            assert np.all(out.values >= 0)
-            assert out.values[0] == 0.0 and out.values[-1] == 0.0
-
-    def test_support_margin(self):
-        dom = GridDomain.interval(0.0, 1.0, 1025)
-        op = approx_identity_with_boundary(dom, 4)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            f = GridFunction(dom, rng.standard_normal(1025))
-            out = op.apply(f)
-            support = np.nonzero(out.values)[0]
-            dist = dom.boundary_distance(dom.points()[support]).min()
-            assert dist >= op.delta - dom.h
-
-    def test_constant_converges_on_interior(self):
-        dom = GridDomain.interval(0.0, 1.0, 2561)
-        f = GridFunction(dom, np.ones(2561))
-        interior = dom.boundary_distance(dom.points()) >= 0.2
-        errs = []
-        for n in (2, 4, 8, 16):
-            out = approx_identity_with_boundary(dom, n).apply(f)
-            diff = (out.values - 1.0)[interior]
-            errs.append(np.sqrt(dom.h * np.sum(diff ** 2)))
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-        assert errs[-1] < 0.5 * errs[0]
-
-    def test_grid_too_coarse(self):
-        dom = GridDomain.interval(0.0, 1.0, 64)
-        with pytest.raises(GridTooCoarseError):
-            approx_identity_with_boundary(dom, 32)
 
 
 # ---------------------------------------------------------------------------
