@@ -39,11 +39,6 @@ class TestSpanNorm:
         res = span_norm(space, x)
         assert res.value == pytest.approx(space.norm.value(x), abs=0)
         assert np.array_equal(res.y, x) and np.array_equal(res.z, np.zeros(3))
-        # positive differences 1 - x_j of an increasing chain, in W^{1,2}
-        sobolev = OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0.0, 1.0, 4), 1, 2.0)
-        for xj in ([0.2, 0.0, 0.1, 0.0], [0.5, 0.4, 0.1, 0.3], [0.9, 0.8, 0.9, 0.9]):
-            diff = 1.0 - np.array(xj)
-            assert abs(span_norm(sobolev, diff).value - sobolev.norm.value(diff)) <= 1e-7
 
     def test_zero_vector(self):
         res = span_norm(l2_space(2), np.zeros(2))
@@ -368,3 +363,22 @@ class TestConstructiveSupDual:
         s = constructive_sup_dual(scheme, np.zeros(32), 1e-6)
         assert np.array_equal(s, np.zeros(32))
 
+
+# ---------------------------------------------------------------------------
+# norm coincidence on the cone
+# ---------------------------------------------------------------------------
+
+class TestConeNormCoincidence:
+    def test_staggered_chain(self):
+        # the differences 1 - x_j of an increasing chain are positive in
+        # W^{1,2}, so their span norm equals their base norm
+        space = OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0.0, 1.0, 4), 1, 2.0)
+        chain = [np.array([0.2, 0.0, 0.1, 0.0]),
+                 np.array([0.5, 0.4, 0.1, 0.3]),
+                 np.array([0.9, 0.8, 0.9, 0.9])]
+        for a, b in zip(chain, chain[1:]):
+            assert np.all(b >= a)
+        for xj in chain:
+            diff = 1.0 - xj
+            assert np.all(diff >= 0.0)
+            assert abs(span_norm(space, diff).value - space.norm.value(diff)) <= 1e-7
