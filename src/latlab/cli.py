@@ -133,20 +133,23 @@ def _build_scheme(family: str, domain: GridDomain, seed: int):
     raise UsageError(f"unknown scheme family {family!r}")
 
 
-def _sup_gap(compute, z: np.ndarray) -> tuple[float, str]:
-    """Gap max|s - |z|| of the supremum ``compute()`` and a non-convergence witness.
+def _sup_gaps(compute, Z: np.ndarray) -> list[tuple[float, str]]:
+    """Gap max|s - |z|| of each column z of Z, and its non-convergence witness.
 
-    A ConvergenceError becomes a witness holding its message and Cauchy
-    increments; the gap is then taken at its best iterate, NaN without one.
+    ``compute()`` is the supremum of the batch Z.  Its ConvergenceError names
+    the failed columns; each gets a witness holding its message and Cauchy
+    increments.  Gaps are taken at the best iterates, NaN without one.
     """
     try:
-        s, error = compute(), ""
+        S, failed = compute(), {}
     except ConvergenceError as exc:
-        s, increments = exc.best, exc.diagnostics["increments"]
-        error = json.dumps({"error": str(exc), "increments": increments},
-                           separators=(",", ":"))
-    gap = float("nan") if s is None else float(np.max(np.abs(s - np.abs(z))))
-    return gap, error
+        S, failed = exc.best, exc.diagnostics["columns"]
+    out = []
+    for j in range(Z.shape[1]):
+        gap = float("nan") if S is None else float(np.max(np.abs(S[:, j] - np.abs(Z[:, j]))))
+        error = json.dumps(failed[j], separators=(",", ":")) if j in failed else ""
+        out.append((gap, error))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,6 @@ def _sup_gap(compute, z: np.ndarray) -> tuple[float, str]:
 def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     name = "sup-construct-dual" if dual else "sup-construct"
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
-    if kind not in ("torus", "interval"):
-        raise UsageError(f"{name} runs on a torus or an interval, not {kind!r}")
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
     p = cfg["order"]["p"]
     scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
@@ -166,13 +167,14 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     threshold = cfg["gap_threshold"]
     rng = np.random.default_rng(cfg["seed"])
     t_ax = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
+    Z = np.column_stack([_trig_profile(rng, t_ax, cfg["curvature"])
+                         for _ in range(cfg["samples"])])
+    if dual:
+        results = _sup_gaps(lambda: constructive_sup_dual(scheme, Z, tol), Z)
+    else:
+        results = _sup_gaps(lambda: constructive_sup(scheme, space, Z, tol), Z)
     rows = []
-    for i in range(cfg["samples"]):
-        z = _trig_profile(rng, t_ax, cfg["curvature"])
-        if dual:
-            gap, error = _sup_gap(lambda: constructive_sup_dual(scheme, z, tol), z)
-        else:
-            gap, error = _sup_gap(lambda: constructive_sup(scheme, space, z, tol), z)
+    for i, (gap, error) in enumerate(results):
         ok = not error and gap <= threshold
         rows.append(ReportRow(
             name, f"z{i:03d}",
@@ -180,7 +182,7 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
                     "tol": tol, "seed": cfg["seed"]},
             values={"gap": gap},
             status="PASS" if ok else "FAIL",
-            witness=error or ("" if ok else json.dumps(list(z), separators=(",", ":"))),
+            witness=error or ("" if ok else json.dumps(list(Z[:, i]), separators=(",", ":"))),
         ))
     return rows
 
@@ -400,8 +402,9 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     space = ExtrapolationSpace.build(base, gen, lam=1.0)
     t = np.linspace(0.0, 1.0, n)
     z = _trig_profile(rng, t, curvature=40.0)
-    gap, error = _sup_gap(
-        lambda: extrapolation.theorem41_sup(space, z, tol=cfg["scheme"]["tol"]), z)
+    Z = z[:, None]
+    ((gap, error),) = _sup_gaps(
+        lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z)
     ok = not error and gap <= cfg["gap_threshold"]
     add("theorem41-sup-gap", gap, ok, error or ("" if ok else json.dumps(list(z))))
 
@@ -428,17 +431,23 @@ def estimate_renorm_constants(space: OrderedSpaceSpec, xs) -> tuple[float, float
 
     The witness family per sample x: the positive parts against |x|, the
     exact renorm maximizer against |x|, and the positive parts against the
-    minimizing span decomposition.
+    minimizing span decomposition.  Zero samples bound neither constant and
+    are skipped.
     """
     witnesses, span_ratios = [], []
     for x in xs:
         x = np.asarray(x, dtype=float)
+        nx = space.norm.value(x)
+        if nx == 0.0:
+            continue
         ax = np.abs(x)
         xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
         dec = span_norm(space, x)
         ren = renorm_value(space, x)
         witnesses += [(xp, ax), (xm, ax), (ren.maximizer, ax), (xp, dec.y), (xm, dec.z)]
-        span_ratios.append(dec.value / space.norm.value(x))
+        span_ratios.append(dec.value / nx)
+    if not span_ratios:
+        raise ValueError("all samples were zero")
     witnesses = [(a, b) for a, b in witnesses if space.norm.value(b) > 0]
     return normality_constant_lower_bound(space, witnesses), max(span_ratios)
 
@@ -485,6 +494,7 @@ _COMMON_DEFAULTS = {
 _EXPERIMENTS: dict[str, dict] = {
     "sup-construct": {
         "runner": lambda cfg: _run_sup_construct(cfg, dual=False),
+        "domain_kinds": ("torus", "interval"),
         "defaults": {},
         "params": ["domain", "grid_n", "scheme", "tol", "seed"],
         "values": ["gap"],
@@ -492,6 +502,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "sup-construct-dual": {
         "runner": lambda cfg: _run_sup_construct(cfg, dual=True),
+        "domain_kinds": ("torus", "interval"),
         "defaults": {},
         "params": ["domain", "grid_n", "scheme", "tol", "seed"],
         "values": ["gap"],
@@ -499,6 +510,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "normality-scan": {
         "runner": _run_normality_scan,
+        "domain_kinds": None,
         "defaults": {"eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
                      "growth_low": 1.7, "growth_high": 2.3},
         "params": ["eps", "h", "k", "p", "seed"],
@@ -507,6 +519,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "mollifier-rate": {
         "runner": _run_mollifier_rate,
+        "domain_kinds": ("torus",),
         "defaults": {"domain": {"kind": "torus", "n": 128},
                      "deltas": [0.1, 0.05, 0.025], "order_min": 1.8},
         "params": ["grid_n", "delta", "seed"],
@@ -515,6 +528,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "boundary-chart-audit": {
         "runner": _run_boundary_chart_audit,
+        "domain_kinds": ("interval",),
         "defaults": {"domains": ["interval", "rectangle"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 64},
                      "ns": [2, 4, 8], "chart_samples": 10_000},
@@ -524,6 +538,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "pushin-audit": {
         "runner": _run_pushin_audit,
+        "domain_kinds": ("interval",),
         "defaults": {"domains": ["interval"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 513},
                      "ns": [2, 4, 8], "samples": 20},
@@ -533,6 +548,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "prop35-demo": {
         "runner": _run_prop35_demo,
+        "domain_kinds": ("interval",),
         "defaults": {"domain": {"kind": "interval", "n": 257},
                      "orders": [1, 2], "samples": 20},
         "params": ["k", "grid_n", "seed"],
@@ -541,6 +557,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "extrapolation-demo": {
         "runner": _run_extrapolation_demo,
+        "domain_kinds": ("interval",),
         "defaults": {"domain": {"kind": "interval", "n": 32},
                      "scheme": {"family": "resolvent-neumann", "n_min": 2,
                                 "n_max": 2 ** 40, "tol": 1e-6}},
@@ -550,6 +567,7 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "renorm-audit": {
         "runner": _run_renorm_audit,
+        "domain_kinds": None,
         "defaults": {"spaces": list(_RENORM_SPACES), "samples": 50,
                      "inflation": 1.05},
         "params": ["space", "dim", "M", "C", "seed"],
@@ -589,6 +607,9 @@ def normalize_config(raw: dict) -> dict:
         raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
         raise UsageError(f"samples must be a positive integer, got {cfg['samples']!r}")
+    kinds, kind = _EXPERIMENTS[experiment]["domain_kinds"], cfg["domain"]["kind"]
+    if kinds is not None and kind not in kinds:
+        raise UsageError(f"{experiment} runs on domain.kind {' or '.join(kinds)}, not {kind!r}")
     for field, n in (("domain.n", cfg["domain"]["n"]), ("rect_n", cfg.get("rect_n", 4))):
         if not isinstance(n, int) or n < 4:
             raise UsageError(f"cannot build a grid with {field} = {n!r}; need an integer >= 4")

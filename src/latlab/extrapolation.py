@@ -193,15 +193,17 @@ def resolvent_scheme(gen: GeneratorMatrix, n_min: int = 2,
                      n_max: int = 2 ** 40) -> ApproximationScheme:
     """Scheme J = id, R_n = n (n - A)^{-1} for integers n above lam0.
 
-    Each R_n comes from ``resolvent``, which checks it entrywise nonnegative.
+    Each R_n comes from ``resolvent``, which checks it entrywise nonnegative,
+    and is scaled in place.  Nothing is cached: a constructive-sup sweep
+    builds each dense R_n once for a whole batch and frees it before the
+    next index.
     """
     n_min = max(n_min, int(math.floor(gen.lam0)) + 1)
-    cache: dict[int, np.ndarray] = {}
 
     def R(n: int) -> np.ndarray:
-        if n not in cache:
-            cache[n] = n * resolvent(gen, n)
-        return cache[n]
+        Rn = resolvent(gen, n)
+        Rn *= n
+        return Rn
 
     return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max)
 

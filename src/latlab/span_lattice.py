@@ -220,9 +220,12 @@ class ApproximationScheme:
     """Embedding J with positive approximants R_n realizing J R_n -> id.
 
     ``J`` and ``R(n)`` are an ndarray or a LinearOperator; both give ``@``
-    and ``.T``.  Indices run geometrically from n_min.  Positivity is
-    enforced where the operators are built: ``PeriodicCorrelation`` rejects
-    negative weights, ``resolvent`` checks each R_n entrywise, and ``J`` is
+    and ``.T``.  ``R(n)`` builds a fresh operator on every call and nothing
+    is cached: a constructive-sup sweep asks for each index once, for a whole
+    batch of vectors, and drops R_n before it builds the next one.  Indices
+    run geometrically from n_min.  Positivity is enforced where the
+    operators are built: ``PeriodicCorrelation`` rejects negative weights,
+    ``resolvent`` checks each R_n entrywise, and ``J`` is
     ``identity_operator`` in both scheme families.
     """
 
@@ -247,12 +250,9 @@ def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
         raise ValueError("the plain mollifier scheme lives on the torus")
     N = domain.node_count
     n_max = int(math.floor((domain.hi[0] - domain.lo[0]) / (2.0 * domain.h)))
-    cache: dict[int, PeriodicCorrelation] = {}
 
     def R(n: int) -> PeriodicCorrelation:
-        if n not in cache:
-            cache[n] = PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
-        return cache[n]
+        return PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
 
     return ApproximationScheme(identity_operator(N), R, n_min, n_max)
 
@@ -264,68 +264,111 @@ def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
 _CAUCHY_WINDOW = 3  # consecutive below-tol increments that declare convergence
 
 
-def _iterate_sup(apply_j, apply_r, indices, z, tol, norm_of):
-    prev, below = None, 0
-    increments = []
+def _iterate_sup(apply_j, apply_r, indices, Z, tol):
+    """One sweep of s_n = J |R_n z| over the indices for every column z of Z.
+
+    ``apply_r(n, X)`` builds R_n (or its adjoint) and applies it to the block
+    X of the columns still iterating, so each R_n is built once per sweep and
+    is garbage once the next index is reached.  Each column keeps its own
+    Cauchy window of uniform-norm increments and stops on its own.  Returns
+    the last iterate of every column (None if no index was reached), the
+    index at which each column converged (None where the range ran out) and
+    the increments of each column.
+    """
+    m = Z.shape[1]
+    S = None
+    n_final = [None] * m
+    increments = [[] for _ in range(m)]
+    active = np.arange(m)
+    below = np.zeros(m, dtype=int)
     for n in indices:
-        s = apply_j(np.abs(apply_r(n, z)))
-        if prev is not None:
-            inc = norm_of(s - prev)
-            increments.append((n, inc))
-            below = below + 1 if inc <= tol else 0
-            if below >= _CAUCHY_WINDOW:
-                return s, n, increments
-        prev = s
-    raise ConvergenceError(
-        "constructive supremum did not converge within the index range",
-        best=prev, diagnostics={"increments": increments},
-    )
+        if not active.size:
+            break
+        s = apply_j(np.abs(apply_r(n, Z[:, active])))
+        if S is None:
+            S = s
+            continue
+        inc = np.max(np.abs(s - S[:, active]), axis=0)
+        S[:, active] = s
+        below = np.where(inc <= tol, below + 1, 0)
+        for col, value, count in zip(active, inc, below):
+            increments[col].append((n, float(value)))
+            if count >= _CAUCHY_WINDOW:
+                n_final[col] = n
+        running = below < _CAUCHY_WINDOW
+        active, below = active[running], below[running]
+    return S, n_final, increments
+
+
+def _checked_sup(apply_j, apply_r, indices, z, tol, bound_message):
+    """Sweep the columns of z, shape (N,) or (N, m), and check s >= |z|.
+
+    A column fails if the index range runs out before its Cauchy window
+    holds, or if its limit misses |z| by more than tol.  For 1-D input the
+    ConvergenceError carries the column's message, its best iterate and
+    ``diagnostics["increments"]``.  For a batch one ConvergenceError names
+    every failed column; ``best`` holds the last iterate of every column and
+    ``diagnostics["columns"][j]`` the ``error`` and ``increments`` of each
+    failed column j.
+    """
+    if z.ndim not in (1, 2):
+        raise ValueError("expected one vector or a batch of column vectors")
+    Z = z[:, None] if z.ndim == 1 else z
+    S, n_final, increments = _iterate_sup(apply_j, apply_r, indices, Z, tol)
+    failed = {}
+    for j, n in enumerate(n_final):
+        if n is None:
+            failed[j] = "constructive supremum did not converge within the index range"
+            continue
+        gap = float(np.max(np.abs(Z[:, j]) - S[:, j]))
+        if gap > tol + 1e-12:
+            failed[j] = bound_message(gap)
+    if z.ndim == 1:
+        s = None if S is None else S[:, 0]
+        if failed:
+            raise ConvergenceError(failed[0], best=s,
+                                   diagnostics={"increments": increments[0]})
+        return s
+    if failed:
+        raise ConvergenceError(
+            "; ".join(f"column {j}: {msg}" for j, msg in failed.items()), best=S,
+            diagnostics={"columns": {j: {"error": msg, "increments": increments[j]}
+                                     for j, msg in failed.items()}},
+        )
+    return S
 
 
 def constructive_sup(scheme: ApproximationScheme, space_Z: OrderedSpaceSpec,
                      z, tol: float) -> np.ndarray:
     """Limit of s_n = J |R_n z|, the supremum of -z and z in the span.
 
-    Convergence is Cauchy detection with a three-increment window; the
-    result is verified to dominate both -z and z componentwise within tol.
+    ``z`` is one vector (N,) or a batch (N, m) of columns; one sweep over the
+    indices builds each R_n once for the whole batch.  Convergence is Cauchy
+    detection with a three-increment window per column; each limit is
+    verified to dominate both -z and z componentwise within tol.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (space_Z.dim,):
+    if z.shape[:1] != (space_Z.dim,):
         raise ValueError("vector dimension mismatch")
     # Cauchy detection runs in the uniform norm so that the stopping
     # increments dominate the componentwise post-verification margin.
-    s, n_final, increments = _iterate_sup(
-        lambda v: scheme.J @ v,
-        lambda n, v: scheme.R(n) @ v,
-        scheme.indices(), z, tol,
-        lambda v: float(np.max(np.abs(v))),
+    return _checked_sup(
+        lambda v: scheme.J @ v, lambda n, v: scheme.R(n) @ v, scheme.indices(), z, tol,
+        lambda gap: f"upper-bound check failed: max(|z| - s) = {gap:.3e} above tol",
     )
-    gap = float(np.max(np.abs(z) - s))
-    if gap > tol + 1e-12:
-        raise ConvergenceError(
-            f"upper-bound check failed: max(|z| - s) = {gap:.3e} above tol",
-            best=s, diagnostics={"increments": increments},
-        )
-    return s
 
 
 def constructive_sup_dual(scheme: ApproximationScheme, x_dual, tol: float) -> np.ndarray:
     """Dual-side limit s' = J' |R_n' x'| through the adjoints of the scheme.
 
-    Cauchy detection runs in the sup norm on the dual coordinates; the
-    result dominates -x' and x' in the dual (componentwise) order.
+    ``x_dual`` is one covector (N,) or a batch (N, m), swept as in
+    ``constructive_sup``.  Cauchy detection runs in the sup norm on the dual
+    coordinates; the result dominates -x' and x' in the dual (componentwise)
+    order.
     """
     x_dual = np.asarray(x_dual, dtype=float)
     Jt = scheme.J.T
-    s, _, increments = _iterate_sup(
+    return _checked_sup(
         lambda v: Jt @ v, lambda n, v: scheme.R(n).T @ v, scheme.indices(), x_dual, tol,
-        lambda v: float(np.max(np.abs(v))),
+        lambda gap: f"dual upper-bound check failed: gap {gap:.3e} above tol",
     )
-    gap = float(np.max(np.abs(x_dual) - s))
-    if gap > tol + 1e-12:
-        raise ConvergenceError(
-            f"dual upper-bound check failed: gap {gap:.3e} above tol",
-            best=s, diagnostics={"increments": increments},
-        )
-    return s
-

@@ -173,3 +173,20 @@ def test_unknown_domain_kind_is_a_usage_error(experiment, tmp_path, capsys):
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, raw", [
+    ("mollifier-rate", {"domain": {"kind": "interval", "n": 128}}),
+    ("extrapolation-demo", {"domain": {"kind": "torus", "n": 32}}),
+    ("prop35-demo", {"domain": {"kind": "torus", "n": 257}}),
+], ids=["mollifier-rate-on-interval", "extrapolation-demo-on-torus",
+        "prop35-demo-on-torus"])
+def test_domain_kind_the_experiment_does_not_build_is_a_usage_error(
+        experiment, raw, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+    assert f"not {raw['domain']['kind']!r}" in capsys.readouterr().err
+    assert not out.exists()

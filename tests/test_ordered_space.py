@@ -294,6 +294,13 @@ class TestDecompositionConstant:
         objective = np.hypot(1.0 + ss, ss) + np.hypot(ss, 1.0 + ss)
         assert np.min(objective) >= 2.0 - 1e-12
 
+    def test_zero_sample_is_skipped(self):
+        space = l2_space(2)
+        with_zero = estimate_renorm_constants(space, [np.zeros(2), np.ones(2)])
+        assert with_zero == estimate_renorm_constants(space, [np.ones(2)])
+        with pytest.raises(ValueError, match="all samples were zero"):
+            estimate_renorm_constants(space, [np.zeros(2)])
+
     def test_positive_sample_contributes_one(self):
         space = l2_space(3)
         assert abs(estimate_renorm_constants(

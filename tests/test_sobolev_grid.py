@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
+from latlab import sobolev_grid
 from latlab.sobolev_grid import (
     ChartError,
     GridDomain,
@@ -135,6 +139,12 @@ class TestMollify:
     def test_bump_integral_one(self):
         t = np.linspace(-1.5, 1.5, 30001)
         assert np.trapezoid(bump(t), t) == pytest.approx(1.0, abs=1e-8)
+
+    def test_bump_normalizer_is_the_quadrature(self):
+        integral, err = scipy.integrate.quad(
+            lambda t: math.exp(-1.0 / (1.0 - t * t)) if abs(t) < 1 else 0.0, -1.0, 1.0)
+        assert err <= 1e-9
+        assert sobolev_grid._BUMP_NORMALIZER == pytest.approx(1.0 / integral, rel=1e-15)
 
     def test_kernel_weights_normalized(self):
         w = Mollifier(0.1).weights(0.01)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from latlab.sobolev_grid import ConvergenceError, GridDomain, GridFunction, Moll
 from latlab.span_lattice import (
     ApproximationScheme,
     PeriodicCorrelation,
+    _iterate_sup,
     constructive_sup,
     constructive_sup_dual,
     mollifier_scheme,
@@ -362,6 +364,108 @@ class TestConstructiveSupDual:
         scheme = mollifier_scheme(domain)
         s = constructive_sup_dual(scheme, np.zeros(32), 1e-6)
         assert np.array_equal(s, np.zeros(32))
+
+
+def _recording(scheme, calls):
+    """The scheme with every index it is asked for appended to ``calls``."""
+    def R(n):
+        calls.append(n)
+        return scheme.R(n)
+    return ApproximationScheme(scheme.J, R, scheme.n_min, scheme.n_max)
+
+
+def _profiles(domain, curvatures, seed=3):
+    from latlab.cli import _trig_profile
+    rng = np.random.default_rng(seed)
+    t = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
+    return np.column_stack([_trig_profile(rng, t, c) for c in curvatures])
+
+
+def _batch_cases():
+    from latlab.extrapolation import neumann_laplacian_1d, resolvent_scheme
+    torus = GridDomain.torus(1.0, 256)
+    interval = GridDomain.interval(0.0, 1.0, 64)
+    return [
+        (mollifier_scheme(torus), torus, (0.001, 0.004, 0.02), 1e-5),
+        (resolvent_scheme(neumann_laplacian_1d(64, interval.h)), interval,
+         (0.001, 0.004, 0.02), 1e-7),
+    ]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("case", [0, 1], ids=["mollifier", "resolvent-neumann"])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_columns_match_one_call_per_column(self, case, dual):
+        scheme, domain, curvatures, tol = _batch_cases()[case]
+        space = grid_space(domain)
+        Z = _profiles(domain, curvatures)
+
+        def sup(sch, z):
+            return constructive_sup_dual(sch, z, tol) if dual else \
+                constructive_sup(sch, space, z, tol)
+
+        batch_calls = []
+        S = sup(_recording(scheme, batch_calls), Z)
+        assert S.shape == Z.shape
+        # one sweep: each index is built once, up to the slowest column
+        assert batch_calls == sorted(set(batch_calls))
+        finals = []
+        for j in range(Z.shape[1]):
+            calls = []
+            s = sup(_recording(scheme, calls), Z[:, j])
+            assert np.max(np.abs(S[:, j] - s)) <= 1e-12
+            finals.append(calls[-1])
+        apply_r = (lambda n, v: scheme.R(n).T @ v) if dual else (lambda n, v: scheme.R(n) @ v)
+        _, n_final, _ = _iterate_sup(lambda v: v, apply_r, scheme.indices(), Z, tol)
+        assert n_final == finals
+        assert len(set(finals)) > 1  # the columns stop at different indices
+        assert batch_calls[-1] == max(finals)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_only_the_unconverged_column_is_reported(self, dual):
+        domain = GridDomain.torus(1.0, 64)
+        base = mollifier_scheme(domain)
+        truncated = ApproximationScheme(base.J, base.R, 2, 16)
+        space = grid_space(domain)
+        t = domain.axis(0)
+        # R_n fixes constants, so columns 0 and 2 are Cauchy from the first
+        # index on; the sine needs far more indices than 2..16
+        Z = np.column_stack([np.full(64, 0.5), np.sin(2 * np.pi * t), np.full(64, 0.25)])
+
+        def sup(z):
+            return constructive_sup_dual(truncated, z, 1e-9) if dual else \
+                constructive_sup(truncated, space, z, 1e-9)
+
+        with pytest.raises(ConvergenceError) as batch:
+            sup(Z)
+        failed = batch.value.diagnostics["columns"]
+        assert set(failed) == {1}
+        assert str(batch.value).startswith("column 1: ") and ";" not in str(batch.value)
+        for j in (0, 2):
+            assert np.array_equal(batch.value.best[:, j], sup(Z[:, j]))
+        with pytest.raises(ConvergenceError) as single:
+            sup(Z[:, 1])
+        assert failed[1] == {"error": str(single.value),
+                             "increments": single.value.diagnostics["increments"]}
+        assert "did not converge" in failed[1]["error"]
+        assert failed[1]["increments"]
+        assert np.array_equal(batch.value.best[:, 1], single.value.best)
+
+    def test_peak_memory_of_a_resolvent_sweep(self):
+        from latlab.extrapolation import neumann_laplacian_1d, resolvent_scheme
+        N = 256
+        domain = GridDomain.interval(0.0, 1.0, N)
+        scheme = resolvent_scheme(neumann_laplacian_1d(N, domain.h))
+        space = grid_space(domain)
+        Z = _profiles(domain, (0.005,) * 4, seed=0)
+        tracemalloc.start()
+        try:
+            constructive_sup(scheme, space, Z, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # R_n and the factor it is built from; no R_n outlives its index
+        assert peak <= 4 * N * N * 8
 
 
 # ---------------------------------------------------------------------------
