@@ -5,6 +5,12 @@ runs one seeded experiment suite, writes a deterministic CSV plus a JSON
 summary, and exits 0 on all-PASS, 1 on any FAIL, 2 on usage errors.
 ``latlab report-merge <csv...> --out <file>`` merges run CSVs into one
 summary, idempotently by run id.
+
+Config rule: each experiment declares its complete config schema, and its
+runner reads every field of it.  A config may set only declared fields, each
+with the JSON type of its default.  A field that is unknown, mistyped or an
+empty list, and a seed, samples, scheme.tol, domain.n or rect_n out of range,
+is a usage error that names the dotted field.
 """
 
 from __future__ import annotations
@@ -109,13 +115,6 @@ def _trig_profile(rng: np.random.Generator, t: np.ndarray, curvature: float,
     return out
 
 
-def _grid_space(domain: GridDomain, p: float) -> OrderedSpaceSpec:
-    weights = np.full(domain.node_count, domain.cell_measure)
-    return OrderedSpaceSpec(domain.node_count,
-                            PolyhedralCone.standard(domain.node_count),
-                            NormSpec.lp(weights, p))
-
-
 def _build_scheme(family: str, domain: GridDomain, seed: int):
     """The scheme ``family`` on ``domain``; a config it cannot build is a usage error."""
     try:
@@ -160,9 +159,7 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     name = "sup-construct-dual" if dual else "sup-construct"
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
-    p = cfg["order"]["p"]
     scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
-    space = _grid_space(domain, p)
     tol = cfg["scheme"]["tol"]
     threshold = cfg["gap_threshold"]
     rng = np.random.default_rng(cfg["seed"])
@@ -172,7 +169,7 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     if dual:
         results = _sup_gaps(lambda: constructive_sup_dual(scheme, Z, tol), Z)
     else:
-        results = _sup_gaps(lambda: constructive_sup(scheme, space, Z, tol), Z)
+        results = _sup_gaps(lambda: constructive_sup(scheme, Z, tol), Z)
     rows = []
     for i, (gap, error) in enumerate(results):
         ok = not error and gap <= threshold
@@ -285,8 +282,13 @@ def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
     for domain in _audit_domains(cfg):
         pts = domain.points()
         rng = np.random.default_rng(cfg["seed"])
+        # on 1-D domains the L^p error of S_n f - f for a smooth f must fall with n
+        smooth, errs = np.sin(np.pi * domain.axis(0)), []
         for n in ns:
             op = pushin_operator(domain, n)
+            if domain.d == 1:
+                diff = GridFunction(domain, op.matrix @ smooth - smooth)
+                errs.append(sobolev_grid.sobolev_norm(diff, 0, cfg["order"]["p"]))
             outside = ~op.node_in_k(pts)
             worst_support, worst_neg = 0.0, 0.0
             for _ in range(cfg["samples"]):
@@ -306,14 +308,6 @@ def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
                 witness="" if ok else json.dumps({"outside_max": worst_support}),
             ))
         if domain.d == 1:
-            t = domain.axis(0)
-            f = GridFunction(domain, np.sin(np.pi * t))
-            p = cfg["order"]["p"]
-            errs = []
-            for n in ns:
-                op = pushin_operator(domain, n)
-                diff = GridFunction(domain, op.matrix @ f.values - f.values)
-                errs.append(sobolev_grid.sobolev_norm(diff, 0, p))
             decreasing = all(b < a for a, b in zip(errs, errs[1:]))
             rows.append(ReportRow(
                 "pushin-audit", f"{domain.kind}-convergence",
@@ -343,7 +337,7 @@ def _run_prop35_demo(cfg: dict) -> list[ReportRow]:
     for k in cfg["orders"]:
         for i in range(cfg["samples"]):
             f = GridFunction(domain, _w0_sample(rng, t, k))
-            g = positive_dominant_w0(f, k, cfg["order"]["p"])
+            g = positive_dominant_w0(f, k)
             min_g = float(np.min(g.values))
             min_dom = float(np.min(g.values - f.values))
             resid = 0.0
@@ -398,7 +392,7 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     resid = float(np.max(np.abs(R1 - R2 - (2.0 - 1.0) * (R1 @ R2))))
     add("resolvent-identity", resid, resid <= 1e-9)
 
-    base = _grid_space(domain, cfg["order"]["p"])
+    base = OrderedSpaceSpec.standard_lp(np.full(n, domain.cell_measure), cfg["order"]["p"])
     space = ExtrapolationSpace.build(base, gen, lam=1.0)
     t = np.linspace(0.0, 1.0, n)
     z = _trig_profile(rng, t, curvature=40.0)
@@ -481,12 +475,14 @@ def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
 # Experiment registry, config validation
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
+# "defaults" is each experiment's complete config schema: normalize_config
+# accepts only these fields, each with its default's JSON type, and the
+# runner reads every one of them (tests/test_cli.py checks that it does).
+_SUP_DEFAULTS = {
     "seed": 0,
     "samples": 10,
     "domain": {"kind": "torus", "n": 64},
-    "order": {"k": 1, "p": 2.0},
-    "scheme": {"family": "mollifier", "n_min": 2, "n_max": 2 ** 40, "tol": 4e-5},
+    "scheme": {"family": "mollifier", "tol": 4e-5},
     "gap_threshold": 1e-5,
     "curvature": 0.005,
 }
@@ -495,7 +491,7 @@ _EXPERIMENTS: dict[str, dict] = {
     "sup-construct": {
         "runner": lambda cfg: _run_sup_construct(cfg, dual=False),
         "domain_kinds": ("torus", "interval"),
-        "defaults": {},
+        "defaults": _SUP_DEFAULTS,
         "params": ["domain", "grid_n", "scheme", "tol", "seed"],
         "values": ["gap"],
         "gap_field": "gap",
@@ -503,15 +499,15 @@ _EXPERIMENTS: dict[str, dict] = {
     "sup-construct-dual": {
         "runner": lambda cfg: _run_sup_construct(cfg, dual=True),
         "domain_kinds": ("torus", "interval"),
-        "defaults": {},
+        "defaults": _SUP_DEFAULTS,
         "params": ["domain", "grid_n", "scheme", "tol", "seed"],
         "values": ["gap"],
         "gap_field": "gap",
     },
     "normality-scan": {
         "runner": _run_normality_scan,
-        "domain_kinds": None,
-        "defaults": {"eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
+        "defaults": {"seed": 0, "order": {"k": 1, "p": 2.0},
+                     "eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
                      "growth_low": 1.7, "growth_high": 2.3},
         "params": ["eps", "h", "k", "p", "seed"],
         "values": ["ratio", "growth"],
@@ -520,7 +516,7 @@ _EXPERIMENTS: dict[str, dict] = {
     "mollifier-rate": {
         "runner": _run_mollifier_rate,
         "domain_kinds": ("torus",),
-        "defaults": {"domain": {"kind": "torus", "n": 128},
+        "defaults": {"seed": 0, "domain": {"kind": "torus", "n": 128},
                      "deltas": [0.1, 0.05, 0.025], "order_min": 1.8},
         "params": ["grid_n", "delta", "seed"],
         "values": ["err_inf", "order"],
@@ -529,7 +525,7 @@ _EXPERIMENTS: dict[str, dict] = {
     "boundary-chart-audit": {
         "runner": _run_boundary_chart_audit,
         "domain_kinds": ("interval",),
-        "defaults": {"domains": ["interval", "rectangle"], "rect_n": 32,
+        "defaults": {"seed": 0, "domains": ["interval", "rectangle"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 64},
                      "ns": [2, 4, 8], "chart_samples": 10_000},
         "params": ["domain", "chart", "samples", "seed"],
@@ -539,9 +535,9 @@ _EXPERIMENTS: dict[str, dict] = {
     "pushin-audit": {
         "runner": _run_pushin_audit,
         "domain_kinds": ("interval",),
-        "defaults": {"domains": ["interval"], "rect_n": 32,
+        "defaults": {"seed": 0, "samples": 20, "domains": ["interval"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 513},
-                     "ns": [2, 4, 8], "samples": 20},
+                     "ns": [2, 4, 8], "order": {"p": 2.0}},
         "params": ["domain", "grid_n", "n", "seed"],
         "values": ["outside_max", "min_positive_image"],
         "gap_field": "outside_max",
@@ -549,8 +545,8 @@ _EXPERIMENTS: dict[str, dict] = {
     "prop35-demo": {
         "runner": _run_prop35_demo,
         "domain_kinds": ("interval",),
-        "defaults": {"domain": {"kind": "interval", "n": 257},
-                     "orders": [1, 2], "samples": 20},
+        "defaults": {"seed": 0, "samples": 20, "domain": {"kind": "interval", "n": 257},
+                     "orders": [1, 2]},
         "params": ["k", "grid_n", "seed"],
         "values": ["min_g", "min_g_minus_f", "endpoint_resid"],
         "gap_field": "endpoint_resid",
@@ -558,17 +554,16 @@ _EXPERIMENTS: dict[str, dict] = {
     "extrapolation-demo": {
         "runner": _run_extrapolation_demo,
         "domain_kinds": ("interval",),
-        "defaults": {"domain": {"kind": "interval", "n": 32},
-                     "scheme": {"family": "resolvent-neumann", "n_min": 2,
-                                "n_max": 2 ** 40, "tol": 1e-6}},
+        "defaults": {"seed": 0, "order": {"p": 2.0},
+                     "domain": {"kind": "interval", "n": 32},
+                     "scheme": {"tol": 1e-6}, "gap_threshold": 1e-5},
         "params": ["seed"],
         "values": ["value"],
         "gap_field": "value",
     },
     "renorm-audit": {
         "runner": _run_renorm_audit,
-        "domain_kinds": None,
-        "defaults": {"spaces": list(_RENORM_SPACES), "samples": 50,
+        "defaults": {"seed": 0, "samples": 50, "spaces": list(_RENORM_SPACES),
                      "inflation": 1.05},
         "params": ["space", "dim", "M", "C", "seed"],
         "values": ["base_norm", "renorm", "slack_low", "slack_high"],
@@ -576,15 +571,49 @@ _EXPERIMENTS: dict[str, dict] = {
     },
 }
 
+# field -> (check, message), for every experiment that declares the field
+_RANGES = {
+    "seed": (lambda v: v >= 0, "seed must be a nonnegative integer, got {!r}"),
+    "samples": (lambda v: v >= 1, "samples must be a positive integer, got {!r}"),
+    "scheme.tol": (lambda v: 1e-12 <= v <= 1e-2,
+                   "scheme.tol = {:g} outside the allowed range [1e-12, 1e-2]"),
+    "domain.n": (lambda v: v >= 4,
+                 "cannot build a grid with domain.n = {!r}; need an integer >= 4"),
+    "rect_n": (lambda v: v >= 4,
+               "cannot build a grid with rect_n = {!r}; need an integer >= 4"),
+}
 
-def _merge_defaults(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_defaults(out[key], val)
-        else:
-            out[key] = val
-    return out
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _conform(field: str, value, default):
+    """``value`` checked against the JSON type of ``default``, which it overrides.
+
+    An integer passes for a number, a boolean for neither.  An object is
+    checked field by field, and its missing fields take their defaults; a
+    list must be nonempty and each element must match the default's first
+    element.  A field in ``_RANGES`` must also pass its range check.
+    """
+    if type(value) is not type(default) and (type(default), type(value)) != (float, int):
+        raise UsageError(
+            f"config field {field} must be {_JSON_TYPES[type(default)]}, got {value!r}")
+    if field in _RANGES and not _RANGES[field][0](value):
+        raise UsageError(_RANGES[field][1].format(value))
+    if isinstance(default, dict):
+        prefix = f"{field}." if field else ""
+        unknown = sorted(set(value) - set(default))
+        if unknown:
+            raise UsageError(f"config field {prefix}{unknown[0]} is not declared; "
+                             f"declared here: {', '.join(default)}")
+        return {key: _conform(prefix + key, value[key], sub) if key in value else sub
+                for key, sub in default.items()}
+    if isinstance(default, list):
+        if not value:
+            raise UsageError(f"config field {field} must be a nonempty list")
+        for i, item in enumerate(value):
+            _conform(f"{field}[{i}]", item, default[0])
+    return value
 
 
 def normalize_config(raw: dict) -> dict:
@@ -597,22 +626,13 @@ def normalize_config(raw: dict) -> dict:
     if experiment not in _EXPERIMENTS:
         raise UsageError(
             f"unknown experiment {experiment!r}; choose from {sorted(_EXPERIMENTS)}")
-    cfg = _merge_defaults(_COMMON_DEFAULTS, _EXPERIMENTS[experiment]["defaults"])
-    cfg = _merge_defaults(cfg, {k: v for k, v in raw.items() if k != "experiment"})
+    spec = _EXPERIMENTS[experiment]
+    given = {k: v for k, v in raw.items() if k != "experiment"}
+    cfg = _conform("", given, spec["defaults"])
     cfg["experiment"] = experiment
-    tol = cfg["scheme"]["tol"]
-    if not (1e-12 <= tol <= 1e-2):
-        raise UsageError(f"scheme.tol = {tol:g} outside the allowed range [1e-12, 1e-2]")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
-        raise UsageError(f"samples must be a positive integer, got {cfg['samples']!r}")
-    kinds, kind = _EXPERIMENTS[experiment]["domain_kinds"], cfg["domain"]["kind"]
-    if kinds is not None and kind not in kinds:
-        raise UsageError(f"{experiment} runs on domain.kind {' or '.join(kinds)}, not {kind!r}")
-    for field, n in (("domain.n", cfg["domain"]["n"]), ("rect_n", cfg.get("rect_n", 4))):
-        if not isinstance(n, int) or n < 4:
-            raise UsageError(f"cannot build a grid with {field} = {n!r}; need an integer >= 4")
+    if "domain" in cfg and cfg["domain"]["kind"] not in spec["domain_kinds"]:
+        kinds, kind = " or ".join(spec["domain_kinds"]), cfg["domain"]["kind"]
+        raise UsageError(f"{experiment} runs on domain.kind {kinds}, not {kind!r}")
     return cfg
 
 

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
-from .span_lattice import ApproximationScheme, constructive_sup, identity_operator
+from .span_lattice import ApproximationScheme, constructive_sup
 
 FINITE_DIMENSION_CAVEAT = (
     "finite-dimensional model: the extrapolation norm is equivalent to the "
@@ -189,30 +189,27 @@ def _lp_operator_bound(T: np.ndarray, norm: NormSpec) -> float:
 # Resolvent approximation scheme and the supremum construction
 # ---------------------------------------------------------------------------
 
-def resolvent_scheme(gen: GeneratorMatrix, n_min: int = 2,
-                     n_max: int = 2 ** 40) -> ApproximationScheme:
-    """Scheme J = id, R_n = n (n - A)^{-1} for integers n above lam0.
+def resolvent_scheme(gen: GeneratorMatrix, n_max: int = 2 ** 40) -> ApproximationScheme:
+    """Scheme R_n = n (n - A)^{-1} for integers n >= 2 above lam0.
 
     Each R_n comes from ``resolvent``, which checks it entrywise nonnegative,
     and is scaled in place.  Nothing is cached: a constructive-sup sweep
     builds each dense R_n once for a whole batch and frees it before the
     next index.
     """
-    n_min = max(n_min, int(math.floor(gen.lam0)) + 1)
+    n_min = max(2, int(math.floor(gen.lam0)) + 1)
 
     def R(n: int) -> np.ndarray:
         Rn = resolvent(gen, n)
         Rn *= n
         return Rn
 
-    return ApproximationScheme(identity_operator(gen.dim), R, n_min, n_max)
+    return ApproximationScheme(R, n_min, n_max)
 
 
-def theorem41_sup(space: ExtrapolationSpace, z, tol: float,
-                  n_max: int = 2 ** 40) -> np.ndarray:
+def theorem41_sup(space: ExtrapolationSpace, z, tol: float) -> np.ndarray:
     """Supremum of -z and z through the resolvent approximants."""
-    scheme = resolvent_scheme(space.generator, n_max=n_max)
-    return constructive_sup(scheme, space.base, np.asarray(z, dtype=float), tol)
+    return constructive_sup(resolvent_scheme(space.generator), z, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,10 @@ class GridDomain:
         X, Y = np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def contains(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Closed-domain membership, shrunk inward by ``margin``."""
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Closed-domain membership."""
         pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=1)
 
 
 @dataclass
@@ -378,7 +376,8 @@ class BoundaryChart:
 
     ``compress`` marks the axes scaled by (1 - 1/n); the rest are fixed.
     B_n -> id and the shifts vanish as n grows, and the closure of
-    A_n(domain ∩ V) stays inside the open domain for every stored n.
+    A_n(domain ∩ V) stays inside the open domain for every n the chart was
+    built for.
     """
 
     center: tuple[float, ...]
@@ -386,7 +385,6 @@ class BoundaryChart:
     v_hi: tuple[float, ...]
     compress: tuple[bool, ...]
     c: tuple[float, ...]
-    verified_ns: tuple[int, ...] = ()
 
     def matrix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 2:
@@ -467,7 +465,7 @@ def build_boundary_chart(
 
     chart = BoundaryChart(
         center=tuple(x0), v_lo=tuple(v_lo), v_hi=tuple(v_hi),
-        compress=compress, c=tuple(c), verified_ns=tuple(ns),
+        compress=compress, c=tuple(c),
     )
     _verify_chart_containment(chart, domain, ns, n_samples, seed)
     return chart
@@ -532,9 +530,7 @@ _DEFAULT_BOUNDARY_R = 0.72
 _DEFAULT_INTERIOR_RADIUS = 0.35
 
 
-def default_chart_cover(domain: GridDomain, r: float = _DEFAULT_BOUNDARY_R,
-                        interior_radius: float = _DEFAULT_INTERIOR_RADIUS,
-                        ns: tuple[int, ...] = (2, 4, 8, 16, 32),
+def default_chart_cover(domain: GridDomain, ns: tuple[int, ...] = (2, 4, 8, 16, 32),
                         seed: int = 0) -> list[BoundaryChart]:
     """Interval: two endpoint charts plus one interior chart.
 
@@ -555,7 +551,7 @@ def default_chart_cover(domain: GridDomain, r: float = _DEFAULT_BOUNDARY_R,
     charts = []
     for i, x0 in enumerate(centers):
         onb = np.any((np.abs(x0 - lo) <= 1e-12) | (np.abs(x0 - hi) <= 1e-12))
-        radius = r if onb else interior_radius
+        radius = _DEFAULT_BOUNDARY_R if onb else _DEFAULT_INTERIOR_RADIUS
         charts.append(build_boundary_chart(domain, x0, r=radius, ns=ns, seed=seed + i))
     return charts
 
@@ -569,18 +565,14 @@ class PushinOperator:
     chart image boxes.
     """
 
-    def __init__(self, domain: GridDomain, n: int,
-                 charts: list[BoundaryChart] | None = None,
-                 r: float = _DEFAULT_BOUNDARY_R,
-                 interior_radius: float = _DEFAULT_INTERIOR_RADIUS):
+    def __init__(self, domain: GridDomain, n: int):
         if domain.periodic:
             raise ValueError("push-in requires a domain with boundary")
         if n < 2:
             raise ValueError("push-in index must satisfy n >= 2")
         self.domain = domain
         self.n = n
-        self.charts = charts if charts is not None else default_chart_cover(
-            domain, r=r, interior_radius=interior_radius, ns=(n,))
+        self.charts = default_chart_cover(domain, ns=(n,))
         self.bumps = [self._make_bump(ch) for ch in self.charts]
         self.k_boxes = [ch.image_box(n, domain) for ch in self.charts]
         self._check_cover()
@@ -665,10 +657,9 @@ class PushinOperator:
         return inside
 
 
-def pushin_operator(domain: GridDomain, n: int,
-                    r: float = _DEFAULT_BOUNDARY_R) -> PushinOperator:
+def pushin_operator(domain: GridDomain, n: int) -> PushinOperator:
     """Build the push-in operator S_n with the default chart cover."""
-    return PushinOperator(domain, n, r=r)
+    return PushinOperator(domain, n)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +687,7 @@ def _cutoff_right(t: np.ndarray) -> np.ndarray:
     return _smoothstep((t - 0.25) / 0.25)
 
 
-def positive_dominant_w0(f: GridFunction, k: int, p: float = 2.0) -> GridFunction:
+def positive_dominant_w0(f: GridFunction, k: int) -> GridFunction:
     """Positive grid function dominating f with the same endpoint vanishing.
 
     Requires f to vanish discretely to order k-1 at both endpoints.  Builds
@@ -709,7 +700,6 @@ def positive_dominant_w0(f: GridFunction, k: int, p: float = 2.0) -> GridFunctio
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_grid_order(f.domain, k)
-    _check_p(p)
     h = f.domain.h
     D = diff_operator(f.domain, (1,))
     derivs = [f.values]

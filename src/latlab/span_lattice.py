@@ -2,7 +2,7 @@
 
 The span norm minimizes ||y|| + ||z|| over nonnegative decompositions
 x = y - z; the renorm maximizes the norm over the order interval [0, |x|];
-the constructive suprema iterate s_n = J |R_n z| through an approximation
+the constructive suprema iterate s_n = |R_n z| through an approximation
 scheme until the sequence is Cauchy.
 """
 
@@ -208,28 +208,20 @@ class PeriodicCorrelation(LinearOperator):
     _rmatvec = _rmatmat
 
 
-def identity_operator(N: int) -> LinearOperator:
-    """J = id on R^N; applying it or its adjoint returns the argument."""
-    same = lambda X: X
-    return LinearOperator((N, N), matvec=same, rmatvec=same, matmat=same,
-                          rmatmat=same, dtype=float)
-
-
 @dataclass(frozen=True)
 class ApproximationScheme:
-    """Embedding J with positive approximants R_n realizing J R_n -> id.
+    """Positive approximants R_n realizing J R_n -> id.
 
-    ``J`` and ``R(n)`` are an ndarray or a LinearOperator; both give ``@``
-    and ``.T``.  ``R(n)`` builds a fresh operator on every call and nothing
-    is cached: a constructive-sup sweep asks for each index once, for a whole
-    batch of vectors, and drops R_n before it builds the next one.  Indices
-    run geometrically from n_min.  Positivity is enforced where the
-    operators are built: ``PeriodicCorrelation`` rejects negative weights,
-    ``resolvent`` checks each R_n entrywise, and ``J`` is
-    ``identity_operator`` in both scheme families.
+    The grid represents both spaces by the same nodes, so the embedding J is
+    the identity and s_n = |R_n z|.  ``R(n)`` is an ndarray or a
+    LinearOperator; both give ``@`` and ``.T``.  It builds a fresh operator
+    on every call and nothing is cached: a constructive-sup sweep asks for
+    each index once, for a whole batch of vectors, and drops R_n before it
+    builds the next one.  Indices run geometrically from n_min.  Positivity
+    is enforced where the operators are built: ``PeriodicCorrelation``
+    rejects negative weights and ``resolvent`` checks each R_n entrywise.
     """
 
-    J: np.ndarray | LinearOperator
     R: Callable[[int], np.ndarray | LinearOperator]
     n_min: int
     n_max: int
@@ -244,8 +236,8 @@ class ApproximationScheme:
             yield n
             n *= 2
 
-def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
-    """Torus scheme R_n = convolution with the bump at scale 1/n, J = id."""
+def mollifier_scheme(domain: GridDomain) -> ApproximationScheme:
+    """Torus scheme R_n = convolution with the bump at scale 1/n, n >= 2."""
     if not domain.periodic:
         raise ValueError("the plain mollifier scheme lives on the torus")
     N = domain.node_count
@@ -254,7 +246,7 @@ def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
     def R(n: int) -> PeriodicCorrelation:
         return PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
 
-    return ApproximationScheme(identity_operator(N), R, n_min, n_max)
+    return ApproximationScheme(R, 2, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +256,8 @@ def mollifier_scheme(domain: GridDomain, n_min: int = 2) -> ApproximationScheme:
 _CAUCHY_WINDOW = 3  # consecutive below-tol increments that declare convergence
 
 
-def _iterate_sup(apply_j, apply_r, indices, Z, tol):
-    """One sweep of s_n = J |R_n z| over the indices for every column z of Z.
+def _iterate_sup(apply_r, indices, Z, tol):
+    """One sweep of s_n = |R_n z| over the indices for every column z of Z.
 
     ``apply_r(n, X)`` builds R_n (or its adjoint) and applies it to the block
     X of the columns still iterating, so each R_n is built once per sweep and
@@ -284,7 +276,7 @@ def _iterate_sup(apply_j, apply_r, indices, Z, tol):
     for n in indices:
         if not active.size:
             break
-        s = apply_j(np.abs(apply_r(n, Z[:, active])))
+        s = np.abs(apply_r(n, Z[:, active]))
         if S is None:
             S = s
             continue
@@ -300,7 +292,7 @@ def _iterate_sup(apply_j, apply_r, indices, Z, tol):
     return S, n_final, increments
 
 
-def _checked_sup(apply_j, apply_r, indices, z, tol, bound_message):
+def _checked_sup(apply_r, indices, z, tol, bound_message):
     """Sweep the columns of z, shape (N,) or (N, m), and check s >= |z|.
 
     A column fails if the index range runs out before its Cauchy window
@@ -311,10 +303,11 @@ def _checked_sup(apply_j, apply_r, indices, z, tol, bound_message):
     ``diagnostics["columns"][j]`` the ``error`` and ``increments`` of each
     failed column j.
     """
+    z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2):
         raise ValueError("expected one vector or a batch of column vectors")
     Z = z[:, None] if z.ndim == 1 else z
-    S, n_final, increments = _iterate_sup(apply_j, apply_r, indices, Z, tol)
+    S, n_final, increments = _iterate_sup(apply_r, indices, Z, tol)
     failed = {}
     for j, n in enumerate(n_final):
         if n is None:
@@ -338,37 +331,32 @@ def _checked_sup(apply_j, apply_r, indices, z, tol, bound_message):
     return S
 
 
-def constructive_sup(scheme: ApproximationScheme, space_Z: OrderedSpaceSpec,
-                     z, tol: float) -> np.ndarray:
-    """Limit of s_n = J |R_n z|, the supremum of -z and z in the span.
+def constructive_sup(scheme: ApproximationScheme, z, tol: float) -> np.ndarray:
+    """Limit of s_n = |R_n z|, the supremum of -z and z in the span.
 
     ``z`` is one vector (N,) or a batch (N, m) of columns; one sweep over the
-    indices builds each R_n once for the whole batch.  Convergence is Cauchy
-    detection with a three-increment window per column; each limit is
-    verified to dominate both -z and z componentwise within tol.
+    indices builds each R_n once for the whole batch, and applying R_n
+    rejects a z of the wrong length.  Convergence is Cauchy detection with a
+    three-increment window per column; each limit is verified to dominate
+    both -z and z componentwise within tol.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape[:1] != (space_Z.dim,):
-        raise ValueError("vector dimension mismatch")
     # Cauchy detection runs in the uniform norm so that the stopping
     # increments dominate the componentwise post-verification margin.
     return _checked_sup(
-        lambda v: scheme.J @ v, lambda n, v: scheme.R(n) @ v, scheme.indices(), z, tol,
+        lambda n, v: scheme.R(n) @ v, scheme.indices(), z, tol,
         lambda gap: f"upper-bound check failed: max(|z| - s) = {gap:.3e} above tol",
     )
 
 
 def constructive_sup_dual(scheme: ApproximationScheme, x_dual, tol: float) -> np.ndarray:
-    """Dual-side limit s' = J' |R_n' x'| through the adjoints of the scheme.
+    """Dual-side limit s' = |R_n' x'| through the adjoints of the scheme.
 
     ``x_dual`` is one covector (N,) or a batch (N, m), swept as in
     ``constructive_sup``.  Cauchy detection runs in the sup norm on the dual
     coordinates; the result dominates -x' and x' in the dual (componentwise)
     order.
     """
-    x_dual = np.asarray(x_dual, dtype=float)
-    Jt = scheme.J.T
     return _checked_sup(
-        lambda v: Jt @ v, lambda n, v: scheme.R(n).T @ v, scheme.indices(), x_dual, tol,
+        lambda n, v: scheme.R(n).T @ v, scheme.indices(), x_dual, tol,
         lambda gap: f"dual upper-bound check failed: gap {gap:.3e} above tol",
     )

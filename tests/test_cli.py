@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from latlab.cli import main
+from latlab.cli import _EXPERIMENTS, main, normalize_config
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+PASS_CONFIGS = [config for config in CONFIGS if config.stem.endswith("-pass")]
 
 
 def _run_config(config: Path, out: Path) -> int:
@@ -31,9 +32,8 @@ def test_shipped_config_exit_code(config, tmp_path):
     assert _run_config(config, tmp_path) == expected
 
 
-@pytest.mark.parametrize("name", ["sup-construct-pass", "sup-construct-dual-pass"])
-def test_rerun_writes_identical_csv(name, tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+@pytest.mark.parametrize("config", PASS_CONFIGS, ids=lambda p: p.stem)
+def test_rerun_writes_identical_csv(config, tmp_path):
     reports = []
     for out in (tmp_path / "first", tmp_path / "second"):
         assert _run_config(config, out) == 0
@@ -190,3 +190,76 @@ def test_domain_kind_the_experiment_does_not_build_is_a_usage_error(
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
     assert f"not {raw['domain']['kind']!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, raw, field", [
+    ("sup-construct", {"scheme": {"n_max": 4}}, "scheme.n_max"),
+    ("extrapolation-demo", {"scheme": {"family": "mollifier"}}, "scheme.family"),
+    ("normality-scan", {"domain": {"kind": "sphere", "n": 64}}, "domain"),
+    ("sup-construct", {"domain": 5}, "domain"),
+    ("sup-construct", {"scheme": {"tol": "small"}}, "scheme.tol"),
+    ("renorm-audit", {"inflation": "x"}, "inflation"),
+    ("normality-scan", {"eps": []}, "eps"),
+    ("mollifier-rate", {"deltas": []}, "deltas"),
+], ids=["undeclared-n_max", "undeclared-family", "undeclared-domain", "domain-not-object",
+        "tol-not-number", "inflation-not-number", "empty-eps", "empty-deltas"])
+def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, tmp_path,
+                                                       capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+    assert f"config field {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Recording(dict):
+    """A config that adds the dotted name of every leaf a runner reads to ``read``."""
+
+    def __init__(self, cfg: dict, read: set, prefix: str = ""):
+        super().__init__({key: _Recording(val, read, f"{prefix}{key}.")
+                          if isinstance(val, dict) else val for key, val in cfg.items()})
+        self.read, self.prefix = read, prefix
+
+    def __getitem__(self, key):
+        val = super().__getitem__(key)
+        if not isinstance(val, dict):
+            self.read.add(self.prefix + key)
+        return val
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _leaves(cfg: dict, prefix: str = "") -> set:
+    out = set()
+    for key, val in cfg.items():
+        out |= _leaves(val, f"{prefix}{key}.") if isinstance(val, dict) else {prefix + key}
+    return out
+
+
+# small sizes for the slow experiments; every declared field keeps a value
+# under which the runner reads it
+_SMALL = {
+    "sup-construct": {"samples": 2},
+    "sup-construct-dual": {"samples": 2},
+    "renorm-audit": {"samples": 2},
+    "boundary-chart-audit": {"chart_samples": 100, "rect_n": 8},
+    "pushin-audit": {"domains": ["interval", "rectangle"], "domain": {"n": 65},
+                     "rect_n": 8, "ns": [2, 4], "samples": 2},
+    "prop35-demo": {"domain": {"n": 65}, "samples": 2},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_runner_reads_every_declared_field(experiment):
+    spec = _EXPERIMENTS[experiment]
+    cfg = normalize_config({"experiment": experiment, **_SMALL.get(experiment, {})})
+    read = set()
+    spec["runner"](_Recording(cfg, read))
+    declared = _leaves(spec["defaults"])
+    # a domain.kind with one allowed value is validated, not read
+    if len(spec.get("domain_kinds", ())) == 1:
+        declared.discard("domain.kind")
+    assert declared - read == set()

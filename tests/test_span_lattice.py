@@ -25,11 +25,6 @@ def l2_space(dim):
     return OrderedSpaceSpec.standard_lp(np.ones(dim), 2.0)
 
 
-def grid_space(domain, p=2.0):
-    w = np.full(domain.node_count, domain.cell_measure)
-    return OrderedSpaceSpec.standard_lp(w, p)
-
-
 # ---------------------------------------------------------------------------
 # span norm
 # ---------------------------------------------------------------------------
@@ -278,18 +273,16 @@ class TestConstructiveSup:
     def test_positive_vector_reproduced(self):
         domain = GridDomain.torus(1.0, 64)
         scheme = mollifier_scheme(domain)
-        space = grid_space(domain)
         t = domain.axis(0)
         z = 2e-4 * (1.5 + np.sin(2 * np.pi * t))
-        s = constructive_sup(scheme, space, z, 3e-5)
+        s = constructive_sup(scheme, z, 3e-5)
         assert np.max(np.abs(s - z)) <= 1e-5
 
     def test_sine_matches_modulus_oracle(self):
         domain = GridDomain.torus(1.0, 256)
         scheme = mollifier_scheme(domain)
-        space = grid_space(domain)
         z = 0.001 * np.sin(2 * np.pi * domain.axis(0))
-        s = constructive_sup(scheme, space, z, 1e-5)
+        s = constructive_sup(scheme, z, 1e-5)
         assert np.max(np.abs(s - np.abs(z))) <= 1e-6
 
     def test_spike_through_resolvent_scheme(self):
@@ -297,35 +290,41 @@ class TestConstructiveSup:
         domain = GridDomain.interval(0.0, 1.0, 64)
         gen = neumann_laplacian_1d(64, domain.h)
         scheme = resolvent_scheme(gen)
-        space = grid_space(domain)
         z = np.zeros(64)
         z[31] = 1.0
         tol = 1e-6
-        s = constructive_sup(scheme, space, z, tol)
+        s = constructive_sup(scheme, z, tol)
         assert np.max(np.abs(s - np.abs(z))) <= 10 * tol
 
     def test_oracle_invariant_random(self):
         from latlab.cli import _trig_profile
         domain = GridDomain.torus(1.0, 64)
         scheme = mollifier_scheme(domain)
-        space = grid_space(domain)
         rng = np.random.default_rng(9)
         t = domain.axis(0)
         tol = 4e-5
         for _ in range(5):
             z = _trig_profile(rng, t, 0.004)
-            s = constructive_sup(scheme, space, z, tol)
+            s = constructive_sup(scheme, z, tol)
             assert np.max(np.abs(s - np.abs(z))) <= 10 * tol
 
     def test_exhausted_range_raises(self):
         domain = GridDomain.torus(1.0, 64)
         base = mollifier_scheme(domain)
-        truncated = ApproximationScheme(base.J, base.R, 2, 4)
-        space = grid_space(domain)
+        truncated = ApproximationScheme(base.R, 2, 4)
         z = np.sin(2 * np.pi * domain.axis(0))
         with pytest.raises(ConvergenceError) as exc:
-            constructive_sup(truncated, space, z, 1e-9)
+            constructive_sup(truncated, z, 1e-9)
         assert exc.value.diagnostics["increments"]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["mollifier", "resolvent-neumann"])
+    @pytest.mark.parametrize("sup", [constructive_sup, constructive_sup_dual],
+                             ids=["primal", "dual"])
+    def test_wrong_length_rejected(self, case, sup):
+        scheme, domain, _, tol = _batch_cases()[case]
+        for z in (np.ones(domain.node_count - 1), np.ones((domain.node_count + 1, 2))):
+            with pytest.raises(ValueError):
+                sup(scheme, z, tol)
 
 
 class TestConstructiveSupDual:
@@ -355,7 +354,7 @@ class TestConstructiveSupDual:
         z[31] = 1.0
         tol = 1e-6
         s_dual = constructive_sup_dual(scheme, z, tol)
-        s = constructive_sup(scheme, grid_space(domain), z, tol)
+        s = constructive_sup(scheme, z, tol)
         assert np.max(np.abs(s_dual - s)) <= 1e-12
         assert np.max(np.abs(z) - s_dual) <= tol
 
@@ -371,7 +370,7 @@ def _recording(scheme, calls):
     def R(n):
         calls.append(n)
         return scheme.R(n)
-    return ApproximationScheme(scheme.J, R, scheme.n_min, scheme.n_max)
+    return ApproximationScheme(R, scheme.n_min, scheme.n_max)
 
 
 def _profiles(domain, curvatures, seed=3):
@@ -397,12 +396,11 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     def test_columns_match_one_call_per_column(self, case, dual):
         scheme, domain, curvatures, tol = _batch_cases()[case]
-        space = grid_space(domain)
         Z = _profiles(domain, curvatures)
 
         def sup(sch, z):
             return constructive_sup_dual(sch, z, tol) if dual else \
-                constructive_sup(sch, space, z, tol)
+                constructive_sup(sch, z, tol)
 
         batch_calls = []
         S = sup(_recording(scheme, batch_calls), Z)
@@ -416,7 +414,7 @@ class TestBatchedSweep:
             assert np.max(np.abs(S[:, j] - s)) <= 1e-12
             finals.append(calls[-1])
         apply_r = (lambda n, v: scheme.R(n).T @ v) if dual else (lambda n, v: scheme.R(n) @ v)
-        _, n_final, _ = _iterate_sup(lambda v: v, apply_r, scheme.indices(), Z, tol)
+        _, n_final, _ = _iterate_sup(apply_r, scheme.indices(), Z, tol)
         assert n_final == finals
         assert len(set(finals)) > 1  # the columns stop at different indices
         assert batch_calls[-1] == max(finals)
@@ -425,8 +423,7 @@ class TestBatchedSweep:
     def test_only_the_unconverged_column_is_reported(self, dual):
         domain = GridDomain.torus(1.0, 64)
         base = mollifier_scheme(domain)
-        truncated = ApproximationScheme(base.J, base.R, 2, 16)
-        space = grid_space(domain)
+        truncated = ApproximationScheme(base.R, 2, 16)
         t = domain.axis(0)
         # R_n fixes constants, so columns 0 and 2 are Cauchy from the first
         # index on; the sine needs far more indices than 2..16
@@ -434,7 +431,7 @@ class TestBatchedSweep:
 
         def sup(z):
             return constructive_sup_dual(truncated, z, 1e-9) if dual else \
-                constructive_sup(truncated, space, z, 1e-9)
+                constructive_sup(truncated, z, 1e-9)
 
         with pytest.raises(ConvergenceError) as batch:
             sup(Z)
@@ -456,11 +453,10 @@ class TestBatchedSweep:
         N = 256
         domain = GridDomain.interval(0.0, 1.0, N)
         scheme = resolvent_scheme(neumann_laplacian_1d(N, domain.h))
-        space = grid_space(domain)
         Z = _profiles(domain, (0.005,) * 4, seed=0)
         tracemalloc.start()
         try:
-            constructive_sup(scheme, space, Z, 1e-7)
+            constructive_sup(scheme, Z, 1e-7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
