@@ -9,8 +9,9 @@ summary, idempotently by run id.
 Config rule: each experiment declares its complete config schema, and its
 runner reads every field of it.  A config may set only declared fields, each
 with the JSON type of its default.  A field that is unknown, mistyped or an
-empty list, and a seed, samples, scheme.tol, domain.n or rect_n out of range,
-is a usage error that names the dotted field.
+empty list, and a seed, samples, scheme.tol, domain.n, rect_n, eps,
+h_divisor, deltas or ns out of range, is a usage error that names the dotted
+field.
 """
 
 from __future__ import annotations
@@ -581,6 +582,15 @@ _RANGES = {
                  "cannot build a grid with domain.n = {!r}; need an integer >= 4"),
     "rect_n": (lambda v: v >= 4,
                "cannot build a grid with rect_n = {!r}; need an integer >= 4"),
+    # with every eps <= 1, h_divisor >= 3 gives the scan grid at least 4 points
+    "eps": (lambda v: all(0 < e <= 1 for e in v),
+            "eps = {!r} outside the allowed range: each value must lie in (0, 1]"),
+    "h_divisor": (lambda v: v >= 3,
+                  "h_divisor = {!r} outside the allowed range: need an integer >= 3"),
+    "deltas": (lambda v: all(d > 0 for d in v),
+               "deltas = {!r} outside the allowed range: each value must be > 0"),
+    "ns": (lambda v: all(n >= 2 for n in v),
+           "ns = {!r} outside the allowed range: each index must be an integer >= 2"),
 }
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
@@ -593,26 +603,26 @@ def _conform(field: str, value, default):
     An integer passes for a number, a boolean for neither.  An object is
     checked field by field, and its missing fields take their defaults; a
     list must be nonempty and each element must match the default's first
-    element.  A field in ``_RANGES`` must also pass its range check.
+    element.  A field in ``_RANGES`` must then also pass its range check.
     """
     if type(value) is not type(default) and (type(default), type(value)) != (float, int):
         raise UsageError(
             f"config field {field} must be {_JSON_TYPES[type(default)]}, got {value!r}")
-    if field in _RANGES and not _RANGES[field][0](value):
-        raise UsageError(_RANGES[field][1].format(value))
     if isinstance(default, dict):
         prefix = f"{field}." if field else ""
         unknown = sorted(set(value) - set(default))
         if unknown:
             raise UsageError(f"config field {prefix}{unknown[0]} is not declared; "
                              f"declared here: {', '.join(default)}")
-        return {key: _conform(prefix + key, value[key], sub) if key in value else sub
-                for key, sub in default.items()}
+        value = {key: _conform(prefix + key, value[key], sub) if key in value else sub
+                 for key, sub in default.items()}
     if isinstance(default, list):
         if not value:
             raise UsageError(f"config field {field} must be a nonempty list")
         for i, item in enumerate(value):
             _conform(f"{field}[{i}]", item, default[0])
+    if field in _RANGES and not _RANGES[field][0](value):
+        raise UsageError(_RANGES[field][1].format(value))
     return value
 
 
@@ -816,6 +826,8 @@ def main(argv=None) -> int:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError("config must be a JSON object")
         if raw.get("experiment") not in (None, args.experiment):
             raise UsageError(
                 f"config experiment {raw.get('experiment')!r} does not match "

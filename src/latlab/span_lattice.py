@@ -213,16 +213,19 @@ class ApproximationScheme:
     """Positive approximants R_n realizing J R_n -> id.
 
     The grid represents both spaces by the same nodes, so the embedding J is
-    the identity and s_n = |R_n z|.  ``R(n)`` is an ndarray or a
-    LinearOperator; both give ``@`` and ``.T``.  It builds a fresh operator
-    on every call and nothing is cached: a constructive-sup sweep asks for
-    each index once, for a whole batch of vectors, and drops R_n before it
-    builds the next one.  Indices run geometrically from n_min.  Positivity
-    is enforced where the operators are built: ``PeriodicCorrelation``
-    rejects negative weights and ``resolvent`` checks each R_n entrywise.
+    the identity and s_n = |R_n z|.  ``R(n)`` is a LinearOperator, applied
+    with ``@`` and transposed with ``.T``.  It builds a fresh operator on
+    every call and nothing is cached: a constructive-sup sweep asks for each
+    index once, for a whole batch of vectors, and drops R_n before it builds
+    the next one.  Indices run geometrically from n_min.  Positivity is
+    enforced where the operators are built: ``PeriodicCorrelation`` rejects
+    negative weights, and the resolvent scheme's ``ResolventOperator``
+    rejects an LU of n - A with a pivot <= 0, the check on the factors it
+    applies that makes each computed product of R_n or its transpose map
+    nonnegative vectors to nonnegative vectors.
     """
 
-    R: Callable[[int], np.ndarray | LinearOperator]
+    R: Callable[[int], LinearOperator]
     n_min: int
     n_max: int
 

@@ -214,6 +214,23 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, config, message", [
+    ("sup-construct", [1, 2], "config must be a JSON object"),
+    ("normality-scan", {"eps": [0]}, "eps = [0] outside"),
+    ("normality-scan", {"h_divisor": 0}, "h_divisor = 0 outside"),
+    ("mollifier-rate", {"deltas": [0.1, 0]}, "deltas = [0.1, 0] outside"),
+    ("pushin-audit", {"ns": [1]}, "ns = [1] outside"),
+], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one"])
+def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 class _Recording(dict):
     """A config that adds the dotted name of every leaf a runner reads to ``read``."""
 

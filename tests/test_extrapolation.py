@@ -7,6 +7,7 @@ import scipy.linalg
 from latlab.extrapolation import (
     ExtrapolationSpace,
     GeneratorMatrix,
+    ResolventOperator,
     extrapolation_norm,
     lambda_equivalence_report,
     multiplication_example_check,
@@ -23,6 +24,9 @@ from latlab.sobolev_grid import GridDomain
 def grid_space(domain, p=2.0):
     w = np.full(domain.node_count, domain.cell_measure)
     return OrderedSpaceSpec.standard_lp(w, p)
+
+
+_NONSYMMETRIC = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +57,20 @@ class TestGeneratorMatrix:
         gen = neumann_laplacian_1d(3, 1.0)
         expected = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
         assert np.array_equal(gen.A, expected)
+
+    def test_neumann_matches_row_loop(self):
+        n, h = 33, 1.0 / 32.0
+        A = np.zeros((n, n))
+        for i in range(1, n - 1):
+            A[i, i - 1 : i + 2] = (1.0, -2.0, 1.0)
+        A[0, :2] = (-1.0, 1.0)
+        A[-1, -2:] = (1.0, -1.0)
+        assert np.array_equal(neumann_laplacian_1d(n, h).A, A / (h * h))
+
+    def test_non_tridiagonal_rejected(self):
+        A = np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        with pytest.raises(ValueError, match="tridiagonal"):
+            GeneratorMatrix(A, lam0=1.0)
 
     def test_neumann_row_sums_zero(self):
         gen = neumann_laplacian_1d(17, 1.0 / 16.0)
@@ -113,7 +131,7 @@ class TestResolvent:
             assert np.max(np.abs(resolvent(gen, mu) - dense)) <= 1e-12 / mu
 
     def test_nonsymmetric_metzler_generator(self):
-        A = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
+        A = _NONSYMMETRIC
         gen = GeneratorMatrix(A, lam0=0.5)
         for mu in (1.0, 3.0):
             R = resolvent(gen, mu)
@@ -125,6 +143,51 @@ class TestResolvent:
         # eigenvalues +-0.5: lam0 = 0.25 lies below the spectral bound
         with pytest.raises(ValueError, match="spectral bound"):
             GeneratorMatrix(np.array([[0.0, 1.0], [0.25, 0.0]]), lam0=0.25)
+
+
+def _operator_generators():
+    rng = np.random.default_rng(6)
+    return [
+        neumann_laplacian_1d(3, 0.5),
+        neumann_laplacian_1d(64, 1.0 / 63.0),
+        multiplication_generator([2.0]),
+        multiplication_generator(rng.uniform(0.0, 3.0, size=24)),
+        GeneratorMatrix(_NONSYMMETRIC, lam0=0.5),
+    ]
+
+
+class TestResolventOperator:
+    @pytest.mark.parametrize("gen", _operator_generators(), ids=[
+        "neumann-3", "neumann-64", "multiplication-1", "multiplication-24",
+        "nonsymmetric-3"])
+    def test_matches_dense_solve_and_stays_positive(self, gen):
+        N = gen.dim
+        I = np.eye(N)
+        scheme = resolvent_scheme(gen, n_max=2 ** 20)
+        for n in scheme.indices():
+            R = scheme.R(n)
+            M = R @ I
+            assert np.max(np.abs(M - n * np.linalg.solve(n * I - gen.A, I))) <= 1e-12
+            assert np.min(M) >= 0.0
+            MT = R.T @ I
+            assert np.max(np.abs(MT - M.T)) <= 1e-12
+            assert np.min(MT) >= 0.0
+            assert 0 < R.nbytes <= 64 * max(N, 3)
+
+    def test_pivot_check_fires_below_the_spectral_bound(self):
+        gen = GeneratorMatrix(_NONSYMMETRIC, lam0=0.5)
+        s = float(np.max(np.linalg.eigvals(_NONSYMMETRIC).real))
+        assert np.min(ResolventOperator(gen, s + 1e-6) @ np.eye(3)) >= 0.0
+        with pytest.raises(ValueError, match="spectral bound"):
+            ResolventOperator(gen, s - 1e-6)
+        with pytest.raises(ValueError, match=r"^-1 does not exceed the spectral bound"):
+            resolvent_scheme(neumann_laplacian_1d(8, 1.0 / 7.0)).R(-1)
+
+    def test_transpose_of_transpose(self):
+        R = resolvent_scheme(GeneratorMatrix(_NONSYMMETRIC, lam0=0.5)).R(2)
+        v = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(R.T.T @ v, R @ v)
+        assert not np.allclose(R.T @ v, R @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +249,7 @@ class TestResolventScheme:
         gen = neumann_laplacian_1d(16, 1.0 / 15.0)
         scheme = resolvent_scheme(gen, n_max=64)
         for n in scheme.indices():
-            assert np.min(scheme.R(n)) >= -1e-12
+            assert np.min(scheme.R(n) @ np.eye(16)) >= 0.0
 
     def test_convergence_envelope(self):
         dom = GridDomain.interval(0.0, 1.0, 32)
