@@ -591,6 +591,14 @@ _RANGES = {
                "deltas = {!r} outside the allowed range: each value must be > 0"),
     "ns": (lambda v: all(n >= 2 for n in v),
            "ns = {!r} outside the allowed range: each index must be an integer >= 2"),
+    "order.k": (lambda v: v >= 0,
+                "order.k = {!r} outside the allowed range: need an integer >= 0"),
+    "orders": (lambda v: all(k >= 1 for k in v),
+               "orders = {!r} outside the allowed range: each order must be an integer >= 1"),
+    # extrapolation-demo runs its lp norms at p = 1; the Sobolev norms of
+    # normality-scan and pushin-audit need p > 1 (not yet a range rule)
+    "order.p": (lambda v: v >= 1,
+                "order.p = {!r} outside the allowed range: need a number >= 1"),
 }
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",

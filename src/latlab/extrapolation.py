@@ -2,12 +2,14 @@
 
 Resolvent-weighted norms, the resolvent approximants R_n = n (n - A)^{-1},
 the exactly solvable multiplication example, and a discrete Neumann
-Laplacian.  Every generator is tridiagonal and Metzler, and every resolvent,
-dense or applied, goes through one path: the LU of mu - A without pivoting,
-O(N) to build, applied by LAPACK ``dgttrs`` (``ResolventOperator``).  At desk
-scale the extrapolation cone collapses onto the standard cone (the norms are
-equivalent, so the closure adds nothing); the membership predicate computes
-that honestly and the collapse is reported rather than hidden.
+Laplacian.  Every generator is tridiagonal and Metzler and is stored as its
+three diagonals; no N x N array is built except on request (``resolvent``,
+``GeneratorMatrix.A``).  Every resolvent, dense or applied, goes through one
+path: the LU of mu - A without pivoting, O(N) to build, applied by LAPACK
+``dgttrs`` (``ResolventOperator``).  At desk scale the extrapolation cone
+collapses onto the standard cone (the norms are equivalent, so the closure
+adds nothing); the membership predicate computes that honestly and the
+collapse is reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -88,45 +90,59 @@ class ResolventOperator(LinearOperator):
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Tridiagonal Metzler matrix with a resolvent-positivity certificate.
+    """Tridiagonal Metzler matrix, stored as its three diagonals, and lam0.
 
-    ``A`` must be square, tridiagonal and Metzler (nonnegative off-diagonal
-    entries); its three diagonals are stored once.  ``lam0`` must exceed the
-    spectral bound s(A).  For a Metzler A that holds exactly when the LU of
-    lam0 - A without pivoting has only positive pivots, since lam0 - A is
-    then a nonsingular M-matrix (Berman & Plemmons, *Nonnegative Matrices in
-    the Mathematical Sciences*, ch. 6); ``ResolventOperator`` checks it.  The
-    certificate adds entrywise positivity of the resolvent at lam0 and at
-    lam0 + |lam0| + 1, which is 2*lam0 + 1 for lam0 >= 0 and stays above lam0
-    for a negative lam0.
+    ``sub``, ``diag`` and ``sup`` hold the diagonals below, on and above the
+    main one; the off-diagonal entries must be nonnegative (Metzler).
+    ``lam0`` must exceed the spectral bound s(A), and the certificate is that
+    the LU of lam0 - A without pivoting has only positive pivots, which
+    ``ResolventOperator`` checks.  For a Metzler A this holds exactly when
+    lam0 > s(A), since lam0 - A is then a nonsingular M-matrix (Berman &
+    Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6),
+    and every resolvent (mu - A)^{-1}, mu >= lam0, is entrywise nonnegative.
+    ``from_matrix`` builds one from a dense A.
     """
 
-    A: np.ndarray
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
     lam0: float
-    diagonals: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("generator must be square")
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        diagonals = tuple(np.diag(A, k) for k in (-1, 0, 1))
-        if np.count_nonzero(A) != sum(map(np.count_nonzero, diagonals)):
-            raise ValueError("generator must be tridiagonal")
+        diagonals = [np.array(d, dtype=float) for d in self.diagonals]
+        N = diagonals[1].size
+        if N == 0 or [d.shape for d in diagonals] != [(N - 1,), (N,), (N - 1,)]:
+            raise ValueError("generator diagonals must be vectors of lengths N - 1, N, N - 1")
         if np.any(diagonals[0] < 0) or np.any(diagonals[2] < 0):
             raise ValueError("generator has negative off-diagonal entries")
-        object.__setattr__(self, "diagonals", diagonals)
-        for mu in (self.lam0, self.lam0 + abs(self.lam0) + 1.0):
-            if np.min(ResolventOperator(self, mu) @ np.eye(self.dim, order="F")) < -1e-12:
-                raise ValueError(
-                    f"resolvent positivity certificate failed at mu = {mu:g}"
-                )
+        for name, d in zip(("sub", "diag", "sup"), diagonals):
+            d.setflags(write=False)
+            object.__setattr__(self, name, d)
+        ResolventOperator(self, self.lam0)
+
+    @classmethod
+    def from_matrix(cls, A, lam0: float) -> "GeneratorMatrix":
+        """The generator of a dense square tridiagonal Metzler ``A``."""
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if A.shape[0] != A.shape[1]:
+            raise ValueError("generator must be square")
+        diagonals = [np.diag(A, k) for k in (-1, 0, 1)]
+        if np.count_nonzero(A) != sum(map(np.count_nonzero, diagonals)):
+            raise ValueError("generator must be tridiagonal")
+        return cls(*diagonals, lam0=lam0)
+
+    @property
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.sub, self.diag, self.sup
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return len(self.diag)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense N x N matrix, built on each access."""
+        return np.diag(self.sub, -1) + np.diag(self.diag) + np.diag(self.sup, 1)
 
 
 def resolvent(gen: GeneratorMatrix, mu: float) -> np.ndarray:
@@ -161,28 +177,40 @@ class ExtrapolationSpace:
         return cls(base, gen, gen.lam0 + 1.0 if lam is None else float(lam))
 
     @functools.cached_property
-    def resolvent_matrix(self) -> np.ndarray:
-        return resolvent(self.generator, self.lam)
+    def resolvent_operator(self) -> ResolventOperator:
+        return ResolventOperator(self.generator, self.lam)
 
-    def in_extrapolation_cone(self, x, tol: float = 1e-9) -> bool:
+    def in_extrapolation_cone(self, x, tol: float = 1e-9) -> bool | np.ndarray:
         """Membership in the closure of the positive cone under the -1 norm.
 
         Computed as vanishing distance from x to the standard cone in the
         resolvent-weighted metric (nonnegative least squares); at finite
-        dimension this coincides with componentwise nonnegativity.
+        dimension this coincides with componentwise nonnegativity.  ``x`` is
+        one vector (a bool is returned) or a 2-D array of vectors as rows (a
+        bool array is returned); the dense resolvent is built once per call.
         """
         x = np.asarray(x, dtype=float)
-        R = self.resolvent_matrix
-        _, resid = scipy.optimize.nnls(R, R @ x)
-        return resid <= tol * (1.0 + float(np.linalg.norm(R @ x)))
+        R = resolvent(self.generator, self.lam)
+        inside = []
+        for row in np.atleast_2d(x):
+            y = R @ row
+            _, resid = scipy.optimize.nnls(R, y)
+            inside.append(resid <= tol * (1.0 + float(np.linalg.norm(y))))
+        return inside[0] if x.ndim == 1 else np.array(inside, dtype=bool)
 
 
-def extrapolation_norm(space: ExtrapolationSpace, x) -> float:
-    """||(lam - A)^{-1} x|| in the base norm."""
+def extrapolation_norm(space: ExtrapolationSpace, x) -> float | np.ndarray:
+    """||(lam - A)^{-1} x|| in the base norm.
+
+    ``x`` is one vector (a float is returned) or a 2-D array of vectors as
+    rows (one norm per row is returned), resolved in one operator product.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (space.base.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != space.base.dim:
         raise ValueError("vector dimension mismatch")
-    return space.base.norm.value(space.resolvent_matrix @ x)
+    if x.ndim == 1:
+        return space.base.norm.value(space.resolvent_operator @ x)
+    return space.base.norm.value_many((space.resolvent_operator @ x.T).T)
 
 
 @dataclass(frozen=True)
@@ -212,9 +240,13 @@ def lambda_equivalence_report(space: ExtrapolationSpace, lam2: float,
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
     bound = None
     if space.base.norm.kind == "lp":
-        T = space.resolvent_matrix @ np.linalg.inv(other.resolvent_matrix)
-        bound = max(_lp_operator_bound(T, space.base.norm),
-                    _lp_operator_bound(np.linalg.inv(T), space.base.norm))
+        # T = R(lam) R(lam2)^{-1} = I + (lam2 - lam) R(lam) and
+        # T^{-1} = I + (lam - lam2) R(lam2), by the resolvent identity
+        bound = 0.0
+        for a, mu in ((lam2 - space.lam, space.lam), (space.lam - lam2, lam2)):
+            T = a * resolvent(space.generator, mu)
+            T.flat[:: space.base.dim + 1] += 1.0
+            bound = max(bound, _lp_operator_bound(T, space.base.norm))
         passed = hi <= bound * (1 + 1e-9) and lo >= 1.0 / bound * (1 - 1e-9)
     else:
         passed = True
@@ -263,7 +295,8 @@ def multiplication_generator(m) -> GeneratorMatrix:
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise ValueError("multiplier must be nonnegative")
-    return GeneratorMatrix(np.diag(-m), lam0=float(-np.min(m)) + 0.5)
+    off = np.zeros(len(m) - 1)
+    return GeneratorMatrix(off, -m, off, lam0=float(-np.min(m)) + 0.5)
 
 
 def neumann_laplacian_1d(n: int, h: float) -> GeneratorMatrix:
@@ -272,12 +305,10 @@ def neumann_laplacian_1d(n: int, h: float) -> GeneratorMatrix:
         raise ValueError("Neumann Laplacian needs at least 3 nodes")
     if h <= 0:
         raise ValueError("spacing must be positive")
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, -2.0)
-    np.fill_diagonal(A[1:], 1.0)
-    np.fill_diagonal(A[:, 1:], 1.0)
-    A[0, 0] = A[-1, -1] = -1.0
-    return GeneratorMatrix(A / (h * h), lam0=0.5)
+    diag = np.full(n, -2.0)
+    diag[0] = diag[-1] = -1.0
+    off = np.full(n - 1, 1.0 / (h * h))
+    return GeneratorMatrix(off, diag / (h * h), off, lam0=0.5)
 
 
 @dataclass(frozen=True)
@@ -307,20 +338,18 @@ def multiplication_example_check(m, p: float = 2.0, mu_weights=None,
     space = ExtrapolationSpace(base, gen, lam=1.0)
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(len(m))
-        lhs = extrapolation_norm(space, x)
-        rhs = float(np.sum(mu * np.abs(x) ** p / (1.0 + m) ** p) ** (1.0 / p))
-        worst = max(worst, abs(lhs - rhs))
+    X = rng.standard_normal((n_samples, len(m)))
+    lhs = extrapolation_norm(space, X)
+    rhs = np.sum(mu * np.abs(X) ** p / (1.0 + m) ** p, axis=1) ** (1.0 / p)
+    worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
 
-    agree = 0
     trials = n_samples
+    rows = []
     for _ in range(trials):
         x = rng.standard_normal(len(m))
-        if rng.uniform() < 0.5:
-            x = np.abs(x)
-        agree += space.in_extrapolation_cone(x) == bool(np.all(x >= 0))
+        rows.append(np.abs(x) if rng.uniform() < 0.5 else x)
+    X = np.array(rows).reshape(trials, len(m))
+    agree = int(np.sum(space.in_extrapolation_cone(X) == np.all(X >= 0, axis=1)))
 
     semi_min = min(
         float(np.min(scipy.linalg.expm(t * gen.A))) for t in (0.1, 1.0, 10.0)

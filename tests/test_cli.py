@@ -220,7 +220,14 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("normality-scan", {"h_divisor": 0}, "h_divisor = 0 outside"),
     ("mollifier-rate", {"deltas": [0.1, 0]}, "deltas = [0.1, 0] outside"),
     ("pushin-audit", {"ns": [1]}, "ns = [1] outside"),
-], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one"])
+    ("normality-scan", {"order": {"k": -1}}, "order.k = -1 outside"),
+    ("prop35-demo", {"orders": [0]}, "orders = [0] outside"),
+    ("pushin-audit", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
+    ("normality-scan", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
+    ("extrapolation-demo", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
+], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
+        "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
+        "extrapolation-p-half"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latlab.extrapolation import (
     ExtrapolationSpace,
@@ -36,15 +38,23 @@ _NONSYMMETRIC = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
 class TestGeneratorMatrix:
     def test_lam0_must_dominate_spectrum(self):
         with pytest.raises(ValueError):
-            GeneratorMatrix(np.array([[1.0]]), lam0=0.5)
+            GeneratorMatrix.from_matrix(np.array([[1.0]]), lam0=0.5)
         # lam0 on the spectral bound: lam0 - A is singular at the certificate
         with pytest.raises(ValueError):
-            GeneratorMatrix(np.diag([-1.0, 0.0]), lam0=0.0)
+            GeneratorMatrix.from_matrix(np.diag([-1.0, 0.0]), lam0=0.0)
 
     def test_negative_offdiagonal_rejected(self):
         A = np.array([[-1.0, -0.5], [0.0, -1.0]])
         with pytest.raises(ValueError):
-            GeneratorMatrix(A, lam0=1.0)
+            GeneratorMatrix.from_matrix(A, lam0=1.0)
+
+    def test_diagonal_shapes_checked(self):
+        for sub, diag, sup in (([], [], []), ([1.0], [-1.0, -1.0], []),
+                               ([1.0], [[-1.0, -1.0]], [1.0])):
+            with pytest.raises(ValueError, match="lengths N - 1, N, N - 1"):
+                GeneratorMatrix(sub, diag, sup, lam0=1.0)
+        gen = GeneratorMatrix([1.0], [-1.0, -1.0], [1.0], lam0=0.5)
+        assert np.array_equal(gen.A, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_multiplication_generator(self):
         gen = multiplication_generator([0.0, 1.0, 3.0])
@@ -70,7 +80,7 @@ class TestGeneratorMatrix:
     def test_non_tridiagonal_rejected(self):
         A = np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
         with pytest.raises(ValueError, match="tridiagonal"):
-            GeneratorMatrix(A, lam0=1.0)
+            GeneratorMatrix.from_matrix(A, lam0=1.0)
 
     def test_neumann_row_sums_zero(self):
         gen = neumann_laplacian_1d(17, 1.0 / 16.0)
@@ -132,17 +142,39 @@ class TestResolvent:
 
     def test_nonsymmetric_metzler_generator(self):
         A = _NONSYMMETRIC
-        gen = GeneratorMatrix(A, lam0=0.5)
+        gen = GeneratorMatrix.from_matrix(A, lam0=0.5)
         for mu in (1.0, 3.0):
             R = resolvent(gen, mu)
             assert np.max(np.abs(R @ (mu * np.eye(3) - A) - np.eye(3))) <= 1e-14
             assert np.min(R) >= 0.0
             assert not np.allclose(R, R.T)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_certificate_accepts_exactly_above_the_spectral_bound(self, data):
+        N = data.draw(st.integers(1, 12), label="N")
+        off = st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)),
+                       min_size=N - 1, max_size=N - 1)
+        A = (np.diag(data.draw(off, label="sub"), -1)
+             + np.diag(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=N, max_size=N),
+                                 label="diag"))
+             + np.diag(data.draw(off, label="sup"), 1))
+        s = float(np.max(np.linalg.eigvals(A).real))
+        lam0 = s + data.draw(st.floats(-4.0, 4.0), label="lam0 - s")
+        # eigvals and the pivots both err at round-off relative to A's entries
+        assume(abs(lam0 - s) > 1e-8 * max(1.0, float(np.max(np.abs(A)))))
+        try:
+            GeneratorMatrix.from_matrix(A, lam0=lam0)
+            accepted = True
+        except ValueError as exc:
+            assert "spectral bound" in str(exc)
+            accepted = False
+        assert accepted == (lam0 > s)
+
     def test_nonsymmetric_spectral_bound_enforced(self):
         # eigenvalues +-0.5: lam0 = 0.25 lies below the spectral bound
         with pytest.raises(ValueError, match="spectral bound"):
-            GeneratorMatrix(np.array([[0.0, 1.0], [0.25, 0.0]]), lam0=0.25)
+            GeneratorMatrix.from_matrix(np.array([[0.0, 1.0], [0.25, 0.0]]), lam0=0.25)
 
 
 def _operator_generators():
@@ -152,7 +184,7 @@ def _operator_generators():
         neumann_laplacian_1d(64, 1.0 / 63.0),
         multiplication_generator([2.0]),
         multiplication_generator(rng.uniform(0.0, 3.0, size=24)),
-        GeneratorMatrix(_NONSYMMETRIC, lam0=0.5),
+        GeneratorMatrix.from_matrix(_NONSYMMETRIC, lam0=0.5),
     ]
 
 
@@ -175,7 +207,7 @@ class TestResolventOperator:
             assert 0 < R.nbytes <= 64 * max(N, 3)
 
     def test_pivot_check_fires_below_the_spectral_bound(self):
-        gen = GeneratorMatrix(_NONSYMMETRIC, lam0=0.5)
+        gen = GeneratorMatrix.from_matrix(_NONSYMMETRIC, lam0=0.5)
         s = float(np.max(np.linalg.eigvals(_NONSYMMETRIC).real))
         assert np.min(ResolventOperator(gen, s + 1e-6) @ np.eye(3)) >= 0.0
         with pytest.raises(ValueError, match="spectral bound"):
@@ -184,7 +216,7 @@ class TestResolventOperator:
             resolvent_scheme(neumann_laplacian_1d(8, 1.0 / 7.0)).R(-1)
 
     def test_transpose_of_transpose(self):
-        R = resolvent_scheme(GeneratorMatrix(_NONSYMMETRIC, lam0=0.5)).R(2)
+        R = resolvent_scheme(GeneratorMatrix.from_matrix(_NONSYMMETRIC, lam0=0.5)).R(2)
         v = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(R.T.T @ v, R @ v)
         assert not np.allclose(R.T @ v, R @ v)
@@ -207,6 +239,16 @@ class TestExtrapolationNorm:
             multiplication_generator([0.0, 1.0, 3.0]), lam=1.0)
         val = extrapolation_norm(space, np.ones(3))
         assert val == pytest.approx(math.sqrt(21.0) / 4.0, abs=1e-14)
+
+    def test_rows_match_single_vectors(self):
+        dom = GridDomain.interval(0.0, 1.0, 16)
+        space = ExtrapolationSpace.build(grid_space(dom, p=3.0),
+                                         neumann_laplacian_1d(16, dom.h))
+        X = np.random.default_rng(7).standard_normal((5, 16))
+        assert np.allclose(extrapolation_norm(space, X),
+                           [extrapolation_norm(space, x) for x in X], rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="dimension"):
+            extrapolation_norm(space, np.ones((2, 15)))
 
     def test_lambda_equivalence_within_bound(self):
         dom = GridDomain.interval(0.0, 1.0, 32)
@@ -238,6 +280,16 @@ class TestExtrapolationCone:
                     x = np.abs(x)
                 agree += space.in_extrapolation_cone(x) == bool(np.all(x >= 0))
             assert agree == 1000
+
+    def test_rows_match_single_vectors(self):
+        space = ExtrapolationSpace.build(OrderedSpaceSpec.standard_lp(np.ones(8), 2.0),
+                                         neumann_laplacian_1d(8, 1.0 / 7.0))
+        X = np.random.default_rng(8).standard_normal((40, 8))
+        X[::2] = np.abs(X[::2])
+        inside = space.in_extrapolation_cone(X)
+        assert inside.dtype == bool and inside.shape == (40,)
+        assert list(inside) == [space.in_extrapolation_cone(x) for x in X]
+        assert list(inside) == list(np.all(X >= 0, axis=1))
 
 
 # ---------------------------------------------------------------------------
