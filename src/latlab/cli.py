@@ -9,9 +9,9 @@ summary, idempotently by run id.
 Config rule: each experiment declares its complete config schema, and its
 runner reads every field of it.  A config may set only declared fields, each
 with the JSON type of its default.  A field that is unknown, mistyped or an
-empty list, and a seed, samples, scheme.tol, domain.n, rect_n, eps,
-h_divisor, deltas or ns out of range, is a usage error that names the dotted
-field.
+empty list, or a value that fails its range rule, is a usage error that
+names the dotted field.  The range rules are the table ``_RANGES`` and the
+``ranges`` of an experiment's ``_EXPERIMENTS`` entry, which take precedence.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .sobolev_grid import (
     ConvergenceError,
     GridDomain,
     GridFunction,
+    GridTooCoarseError,
     default_chart_cover,
     mollify,
     positive_dominant_w0,
@@ -216,7 +217,11 @@ def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
     t = domain.axis(0)
     f = GridFunction(domain, np.sin(2 * np.pi * t) + 0.5 * np.cos(4 * np.pi * t))
     deltas = cfg["deltas"]
-    errs = [float(np.max(np.abs(mollify(f, d).values - f.values))) for d in deltas]
+    try:
+        errs = [float(np.max(np.abs(mollify(f, d).values - f.values))) for d in deltas]
+    except GridTooCoarseError as exc:
+        raise UsageError(f"deltas = {deltas!r} too fine for domain.n = "
+                         f"{domain.n}: {exc}") from exc
     rows = []
     for i, (d, e) in enumerate(zip(deltas, errs)):
         if i == 0:
@@ -252,7 +257,7 @@ def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
     samples = cfg["chart_samples"]
     rows = []
     for domain in _audit_domains(cfg):
-        charts = default_chart_cover(domain, ns=ns, seed=cfg["seed"])
+        charts = default_chart_cover(domain, ns=ns)
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         rng = np.random.default_rng(cfg["seed"] + 1)
         for ci, chart in enumerate(charts):
@@ -488,6 +493,12 @@ _SUP_DEFAULTS = {
     "curvature": 0.005,
 }
 
+# the W^{k,p} norms of normality-scan and pushin-audit need p > 1
+_SOBOLEV_RANGES = {
+    "order.p": (lambda v: v > 1,
+                "order.p = {!r} outside the allowed range: need a number > 1"),
+}
+
 _EXPERIMENTS: dict[str, dict] = {
     "sup-construct": {
         "runner": lambda cfg: _run_sup_construct(cfg, dual=False),
@@ -510,6 +521,7 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "order": {"k": 1, "p": 2.0},
                      "eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
                      "growth_low": 1.7, "growth_high": 2.3},
+        "ranges": _SOBOLEV_RANGES,
         "params": ["eps", "h", "k", "p", "seed"],
         "values": ["ratio", "growth"],
         "gap_field": None,
@@ -539,6 +551,7 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "samples": 20, "domains": ["interval"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 513},
                      "ns": [2, 4, 8], "order": {"p": 2.0}},
+        "ranges": _SOBOLEV_RANGES,
         "params": ["domain", "grid_n", "n", "seed"],
         "values": ["outside_max", "min_positive_image"],
         "gap_field": "outside_max",
@@ -558,6 +571,7 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "order": {"p": 2.0},
                      "domain": {"kind": "interval", "n": 32},
                      "scheme": {"tol": 1e-6}, "gap_threshold": 1e-5},
+        "caveat": extrapolation.FINITE_DIMENSION_CAVEAT,
         "params": ["seed"],
         "values": ["value"],
         "gap_field": "value",
@@ -573,6 +587,7 @@ _EXPERIMENTS: dict[str, dict] = {
 }
 
 # field -> (check, message), for every experiment that declares the field
+# and does not override the rule in its "ranges"
 _RANGES = {
     "seed": (lambda v: v >= 0, "seed must be a nonnegative integer, got {!r}"),
     "samples": (lambda v: v >= 1, "samples must be a positive integer, got {!r}"),
@@ -595,8 +610,7 @@ _RANGES = {
                 "order.k = {!r} outside the allowed range: need an integer >= 0"),
     "orders": (lambda v: all(k >= 1 for k in v),
                "orders = {!r} outside the allowed range: each order must be an integer >= 1"),
-    # extrapolation-demo runs its lp norms at p = 1; the Sobolev norms of
-    # normality-scan and pushin-audit need p > 1 (not yet a range rule)
+    # extrapolation-demo runs its lp norms at p = 1
     "order.p": (lambda v: v >= 1,
                 "order.p = {!r} outside the allowed range: need a number >= 1"),
 }
@@ -605,13 +619,13 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a l
                dict: "an object"}
 
 
-def _conform(field: str, value, default):
+def _conform(field: str, value, default, ranges: dict):
     """``value`` checked against the JSON type of ``default``, which it overrides.
 
     An integer passes for a number, a boolean for neither.  An object is
     checked field by field, and its missing fields take their defaults; a
     list must be nonempty and each element must match the default's first
-    element.  A field in ``_RANGES`` must then also pass its range check.
+    element.  A field in ``ranges`` must then also pass its range check.
     """
     if type(value) is not type(default) and (type(default), type(value)) != (float, int):
         raise UsageError(
@@ -622,15 +636,15 @@ def _conform(field: str, value, default):
         if unknown:
             raise UsageError(f"config field {prefix}{unknown[0]} is not declared; "
                              f"declared here: {', '.join(default)}")
-        value = {key: _conform(prefix + key, value[key], sub) if key in value else sub
-                 for key, sub in default.items()}
+        value = {key: _conform(prefix + key, value[key], sub, ranges) if key in value
+                 else sub for key, sub in default.items()}
     if isinstance(default, list):
         if not value:
             raise UsageError(f"config field {field} must be a nonempty list")
         for i, item in enumerate(value):
-            _conform(f"{field}[{i}]", item, default[0])
-    if field in _RANGES and not _RANGES[field][0](value):
-        raise UsageError(_RANGES[field][1].format(value))
+            _conform(f"{field}[{i}]", item, default[0], ranges)
+    if field in ranges and not ranges[field][0](value):
+        raise UsageError(ranges[field][1].format(value))
     return value
 
 
@@ -646,7 +660,7 @@ def normalize_config(raw: dict) -> dict:
             f"unknown experiment {experiment!r}; choose from {sorted(_EXPERIMENTS)}")
     spec = _EXPERIMENTS[experiment]
     given = {k: v for k, v in raw.items() if k != "experiment"}
-    cfg = _conform("", given, spec["defaults"])
+    cfg = _conform("", given, spec["defaults"], {**_RANGES, **spec.get("ranges", {})})
     cfg["experiment"] = experiment
     if "domain" in cfg and cfg["domain"]["kind"] not in spec["domain_kinds"]:
         kinds, kind = " or ".join(spec["domain_kinds"]), cfg["domain"]["kind"]
@@ -724,6 +738,8 @@ def write_report(cfg: dict, rows: list[ReportRow], out_dir) -> tuple[Path, Path]
         "worst_gap": worst,
         "wall_time_s": rows[0].wall_time if rows else 0.0,
     }
+    if "caveat" in spec:
+        summary["caveat"] = spec["caveat"]
     json_path = out_dir / f"{cfg['experiment']}-{rid}.json"
     _atomic_write(json_path, json.dumps(summary, indent=2) + "\n")
     return csv_path, json_path

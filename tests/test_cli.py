@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from latlab.cli import _EXPERIMENTS, main, normalize_config
+from latlab.extrapolation import FINITE_DIMENSION_CAVEAT
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 PASS_CONFIGS = [config for config in CONFIGS if config.stem.endswith("-pass")]
@@ -102,6 +103,13 @@ def test_unbuildable_scheme_is_a_usage_error(experiment, raw, tmp_path, capsys):
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot build")
     assert not out.exists()
+
+
+def test_extrapolation_demo_summary_carries_the_caveat(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "extrapolation-demo-pass.json"
+    assert _run_config(config, tmp_path) == 0
+    (json_path,) = tmp_path.glob("*.json")
+    assert json.loads(json_path.read_text())["caveat"] == FINITE_DIMENSION_CAVEAT
 
 
 def _merge(paths, out: Path) -> dict:
@@ -225,9 +233,12 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("pushin-audit", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
     ("normality-scan", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
     ("extrapolation-demo", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
+    ("normality-scan", {"order": {"p": 1}}, "order.p = 1 outside"),
+    ("pushin-audit", {"order": {"p": 1}}, "order.p = 1 outside"),
+    ("mollifier-rate", {"deltas": [0.001]}, "deltas = [0.001] too fine"),
 ], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
         "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
-        "extrapolation-p-half"])
+        "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latlab import sobolev_grid
 from latlab.sobolev_grid import (
@@ -43,6 +46,12 @@ class TestGridDomain:
         pts = dom.points()
         assert pts.shape == (25, 2)
         assert dom.node_count == 25
+
+    def test_rectangle_points_row_major(self):
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 2.0, 5)
+        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+        expected = np.array([(x, y) for x in xs for y in ys])
+        np.testing.assert_array_equal(dom.points(), expected)
 
     def test_value_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -93,6 +102,20 @@ class TestSobolevNorm:
             expected = (dom.cell_measure * total) ** (1.0 / p)
             assert sobolev_norm(GridFunction(dom, f), k, p) == pytest.approx(
                 expected, rel=1e-14)
+
+
+    def test_rectangle_diff_operator_is_kron_of_dense_powers(self):
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 7)
+        n, h = dom.n, dom.h
+        D1 = (np.eye(n, k=1) - np.eye(n)) / h
+        D1[n - 1, n - 2:] = (-1.0 / h, 1.0 / h)
+        for a, b in itertools.product(range(3), repeat=2):
+            if a + b > 2:
+                continue
+            expected = np.kron(np.linalg.matrix_power(D1, a),
+                               np.linalg.matrix_power(D1, b))
+            np.testing.assert_allclose(diff_operator(dom, (a, b)).toarray(), expected,
+                                       rtol=1e-14, atol=0.0)
 
 
 class TestNegativeSobolevNorm:
@@ -192,6 +215,19 @@ class TestMollify:
         out = mollify(f, 0.1)
         assert np.all(out.values >= 0)
 
+    def test_rectangle_matches_zero_padded_double_sum(self):
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 20)
+        f = np.random.default_rng(4).standard_normal((dom.n, dom.n))
+        w = Mollifier(0.2).weights(dom.h)
+        m = len(w) // 2
+        padded = np.pad(f, m)
+        expected = np.zeros_like(f)
+        for i, j in itertools.product(range(dom.n), repeat=2):
+            for s, t in itertools.product(range(-m, m + 1), repeat=2):
+                expected[i, j] += w[s + m] * w[t + m] * padded[i + m - s, j + m - t]
+        out = mollify(GridFunction(dom, f), 0.2).values.reshape(dom.n, dom.n)
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
+
 
 # ---------------------------------------------------------------------------
 # boundary charts
@@ -223,8 +259,7 @@ class TestBoundaryChart:
 
     def test_square_edge_chart_containment(self):
         dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 16)
-        chart = build_boundary_chart(dom, [0.5, 0.0], r=0.4, ns=(2, 4, 8),
-                                     n_samples=10_000)
+        chart = build_boundary_chart(dom, [0.5, 0.0], r=0.4, ns=(2, 4, 8))
         rng = np.random.default_rng(5)
         lo = np.maximum(chart.v_lo, dom.lo)
         hi = np.minimum(chart.v_hi, dom.hi)
@@ -237,6 +272,35 @@ class TestBoundaryChart:
         dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 16)
         chart = build_boundary_chart(dom, [0.0, 0.0], r=0.4, ns=(2, 4))
         assert chart.compress == (True, True)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_certified_chart_maps_samples_inside(self, data):
+        # endpoints, corners, edge points and interior points of the unit
+        # interval and the unit square
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        x0 = [data.draw(coord, label=f"x0[{i}]") for i in range(d)]
+        r = data.draw(st.floats(0.0, 0.9, exclude_min=True, exclude_max=True), label="r")
+        dom = (GridDomain.interval(0.0, 1.0, 16) if d == 1
+               else GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 16))
+        ns = (2, 4, 8, 16, 32)
+        try:
+            chart = build_boundary_chart(dom, x0, r=r, ns=ns)
+        except ChartError:
+            return
+        lo = np.maximum(chart.v_lo, dom.lo)
+        hi = np.minimum(chart.v_hi, dom.hi)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pts = np.clip(rng.uniform(lo, hi, size=(2000, d)), lo, hi)
+        for n in ns:
+            img = chart.apply(n, pts)
+            assert np.all((img > dom.lo) & (img < dom.hi)), n
+
+    def test_image_touching_the_boundary_rejected(self):
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 16)
+        with pytest.raises(ChartError, match="image closure touches the boundary at n=2"):
+            build_boundary_chart(dom, [0.05, 0.0], r=0.4)
 
     def test_center_outside_rejected(self):
         dom = GridDomain.interval(0.0, 1.0, 16)
@@ -308,6 +372,19 @@ class TestPushin:
     def test_torus_rejected(self):
         with pytest.raises(ValueError):
             pushin_operator(GridDomain.torus(1.0, 64), 2)
+
+    def test_rectangle_stencil_reproduces_bilinear(self):
+        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 32)
+        op = pushin_operator(dom, 2)
+
+        def g(pts):
+            x, y = pts[:, 0], pts[:, 1]
+            return 1.0 + 2.0 * x + 3.0 * y + 4.0 * x * y
+
+        z = np.random.default_rng(6).uniform(0.0, 1.0, size=(500, 2))
+        cols, wts = op._interp_weights(z)
+        values = np.sum(wts * g(dom.points())[cols], axis=1)
+        np.testing.assert_allclose(values, g(z), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
