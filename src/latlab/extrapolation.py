@@ -6,10 +6,11 @@ Laplacian.  Every generator is tridiagonal and Metzler and is stored as its
 three diagonals; no N x N array is built except on request (``resolvent``,
 ``GeneratorMatrix.A``).  Every resolvent, dense or applied, goes through one
 path: the LU of mu - A without pivoting, O(N) to build, applied by LAPACK
-``dgttrs`` (``ResolventOperator``).  At desk scale the extrapolation cone
-collapses onto the standard cone (the norms are equivalent, so the closure
-adds nothing); the membership predicate computes that honestly and the
-collapse is reported rather than hidden.
+``dgttrs`` (``ResolventOperator``).  LAPACK ``dgttrf`` builds that LU when it
+swaps no row; otherwise a Python recurrence runs the same elimination.  At
+desk scale the extrapolation cone collapses onto the standard cone (the norms
+are equivalent, so the closure adds nothing); the membership predicate
+computes that honestly and the collapse is reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
@@ -39,35 +40,38 @@ class ResolventOperator(LinearOperator):
     """scale * (mu - A)^{-1} for a tridiagonal Metzler generator A.
 
     Built from the LU factors of mu - A computed without pivoting, O(N) time
-    and bytes.  A product is a forward and a back substitution through LAPACK
-    ``dgttrs``, O(N) per column; ``.T`` runs the transposed substitutions on
-    the same factors.  Every pivot must be positive, else a ValueError names
-    mu: mu - A has nonpositive off-diagonal entries, so with positive pivots
-    every substitution step adds nonnegative terms and each computed product
-    maps nonnegative vectors to nonnegative vectors exactly.
+    and bytes.  LAPACK ``dgttrf`` computes them when its partial pivoting
+    swaps no row, since it then runs exactly the no-pivot elimination;
+    otherwise ``_no_pivot_lu`` runs that elimination as a Python recurrence
+    (mu - A can have positive no-pivot pivots and still make ``dgttrf`` swap
+    rows, where a subdiagonal entry outweighs the current pivot).  A product
+    is a forward and a back substitution through LAPACK ``dgttrs``, O(N) per
+    column; ``.T`` runs the transposed substitutions on the same factors.
+    Every pivot must be positive, else a ValueError names mu, the row and the
+    pivot: mu - A has nonpositive off-diagonal entries, so with positive
+    pivots every substitution step adds nonnegative terms and each computed
+    product maps nonnegative vectors to nonnegative vectors exactly.
     """
 
     def __init__(self, gen: GeneratorMatrix, mu: float, scale: float = 1.0):
         N = gen.dim
         super().__init__(dtype=np.dtype(float), shape=(N, N))
         sub, diag, sup = gen.diagonals
-        shifted = (mu - diag).tolist()
-        p, u, l = shifted[0], [shifted[0]], []
-        for c, e, d_i in zip((-sub).tolist(), (-sup).tolist(), shifted[1:]):
-            if not p > 0.0:
-                break
-            l.append(c / p)
-            p = d_i - l[-1] * e
-            u.append(p)
-        if not p > 0.0:
-            raise ValueError(
-                f"{mu:g} does not exceed the spectral bound of A: the LU of "
-                f"{mu:g} - A has pivot {p:g} <= 0 in row {len(u) - 1}")
         # scipy's dgttrs wrapper rejects orders 1 and 2: pad with identity rows
         n = max(N, 3)
-        dl, d, du = np.zeros(n - 1), np.ones(n), np.zeros(n - 1)
-        dl[: N - 1], d[:N], du[: N - 1] = l, u, -sup
-        self.factors = (dl, d, du, np.zeros(n - 2), np.arange(1, n + 1, dtype=np.intc))
+        dl, du = (np.concatenate((-v, np.zeros(n - N))) for v in (sub, sup))
+        d = np.concatenate((mu - diag, np.ones(n - N)))
+        # dgttrf swaps rows i and i + 1 only where |dl_i| > |d_i|; with no swap
+        # it has run exactly the recurrence of _no_pivot_lu.  A swap at row i
+        # puts -sub_i < 0 on the diagonal, so for a Metzler A the pivot test
+        # already rejects it; the ipiv test does not lean on that.
+        factors = dgttrf(dl, d, du)[:5]
+        identity = np.arange(1, n + 1, dtype=np.intc)
+        if (factors[4] == identity).all() and factors[1][:N].min() > 0.0:
+            self.factors = factors
+        else:
+            dl[: N - 1], d[:N] = _no_pivot_lu(gen, mu)
+            self.factors = (dl, d, du, np.zeros(n - 2), identity)
         self.scale, self.trans = scale, "N"
 
     @property
@@ -88,6 +92,28 @@ class ResolventOperator(LinearOperator):
     _adjoint = _transpose
 
 
+def _no_pivot_lu(gen: GeneratorMatrix, mu: float) -> tuple[list[float], list[float]]:
+    """Multipliers and pivots of mu - A eliminated without row swaps.
+
+    Raises a ValueError naming mu, the row and the pivot at the first pivot
+    that is not positive.
+    """
+    sub, diag, sup = gen.diagonals
+    shifted = (mu - diag).tolist()
+    p, u, l = shifted[0], [shifted[0]], []
+    for c, e, d_i in zip((-sub).tolist(), (-sup).tolist(), shifted[1:]):
+        if not p > 0.0:
+            break
+        l.append(c / p)
+        p = d_i - l[-1] * e
+        u.append(p)
+    if not p > 0.0:
+        raise ValueError(
+            f"{mu:g} does not exceed the spectral bound of A: the LU of "
+            f"{mu:g} - A has pivot {p:g} <= 0 in row {len(u) - 1}")
+    return l, u
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Tridiagonal Metzler matrix, stored as its three diagonals, and lam0.
@@ -96,10 +122,12 @@ class GeneratorMatrix:
     main one; the off-diagonal entries must be nonnegative (Metzler).
     ``lam0`` must exceed the spectral bound s(A), and the certificate is that
     the LU of lam0 - A without pivoting has only positive pivots, which
-    ``ResolventOperator`` checks.  For a Metzler A this holds exactly when
-    lam0 > s(A), since lam0 - A is then a nonsingular M-matrix (Berman &
-    Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6),
-    and every resolvent (mu - A)^{-1}, mu >= lam0, is entrywise nonnegative.
+    ``ResolventOperator`` checks (the LU comes from LAPACK ``dgttrf`` when it
+    swaps no row, else from the no-pivot recurrence).  For a Metzler A this
+    holds exactly when lam0 > s(A), since lam0 - A is then a nonsingular
+    M-matrix (Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, ch. 6), and every resolvent (mu - A)^{-1}, mu >= lam0, is
+    entrywise nonnegative.
     ``from_matrix`` builds one from a dense A.
     """
 

@@ -48,6 +48,7 @@ class GridDomain:
     ``n`` is the number of points per axis.  The spacing is
     ``extent/(n-1)`` for domains with boundary and ``extent/n`` for the
     torus (whose rightmost node is identified with the left endpoint).
+    One spacing serves every axis, so a rectangle must be a square.
     Rectangle values are flattened row-major in the x-index.
     """
 
@@ -61,8 +62,11 @@ class GridDomain:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.n < 4:
             raise ValueError("need at least 4 points per axis")
-        if any(b <= a for a, b in zip(self.lo, self.hi)):
+        extents = [b - a for a, b in zip(self.lo, self.hi)]
+        if min(extents) <= 0:
             raise ValueError("empty domain")
+        if not all(math.isclose(e, extents[0], rel_tol=1e-12) for e in extents):
+            raise ValueError(f"axis extents {extents} differ: one spacing h serves every axis")
 
     @classmethod
     def interval(cls, a: float, b: float, n: int) -> "GridDomain":

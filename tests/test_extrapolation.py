@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgttrf
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ def grid_space(domain, p=2.0):
 
 
 _NONSYMMETRIC = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
+_NONSYMMETRIC_2 = np.array([[-1.0, 2.0], [0.5, -3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +187,32 @@ def _operator_generators():
         multiplication_generator([2.0]),
         multiplication_generator(rng.uniform(0.0, 3.0, size=24)),
         GeneratorMatrix.from_matrix(_NONSYMMETRIC, lam0=0.5),
+        GeneratorMatrix.from_matrix(_NONSYMMETRIC_2, lam0=0.5),
     ]
+
+
+# s(A) = -0.0098; mu - A has pivots 1 and 1 at mu = 0, yet partial pivoting
+# swaps rows 1 and 2 there because |-10| > 1
+_SWAPPING = GeneratorMatrix([10.0], [-1.0, -101.0], [10.0], lam0=0.0)
+
+
+def _no_pivot_factors(gen, mu):
+    """Reference: the dgttrs factors of mu - A by the no-pivot recurrence,
+    padded to order 3 with identity rows."""
+    N, n = gen.dim, max(gen.dim, 3)
+    dl, d, du = np.zeros(n - 1), np.ones(n), np.zeros(n - 1)
+    d[0] = mu - gen.diag[0]
+    for i in range(N - 1):
+        dl[i] = -gen.sub[i] / d[i]
+        du[i] = -gen.sup[i]
+        d[i + 1] = (mu - gen.diag[i + 1]) - dl[i] * du[i]
+    return dl, d, du, np.zeros(n - 2), np.arange(1, n + 1, dtype=np.intc)
 
 
 class TestResolventOperator:
     @pytest.mark.parametrize("gen", _operator_generators(), ids=[
         "neumann-3", "neumann-64", "multiplication-1", "multiplication-24",
-        "nonsymmetric-3"])
+        "nonsymmetric-3", "nonsymmetric-2"])
     def test_matches_dense_solve_and_stays_positive(self, gen):
         N = gen.dim
         I = np.eye(N)
@@ -205,6 +226,35 @@ class TestResolventOperator:
             assert np.max(np.abs(MT - M.T)) <= 1e-12
             assert np.min(MT) >= 0.0
             assert 0 < R.nbytes <= 64 * max(N, 3)
+
+    @pytest.mark.parametrize("gen", [
+        neumann_laplacian_1d(640, 1.0 / 639.0),
+        multiplication_generator(np.random.default_rng(6).uniform(0.0, 3.0, size=64)),
+        multiplication_generator([2.0]),
+        GeneratorMatrix.from_matrix(_NONSYMMETRIC_2, lam0=0.5),
+    ], ids=["neumann-640", "multiplication-64", "multiplication-1", "nonsymmetric-2"])
+    def test_factors_equal_the_no_pivot_recurrence(self, gen):
+        for n in 2 ** np.arange(1, 23):
+            factors = ResolventOperator(gen, float(n), scale=float(n)).factors
+            for got, want in zip(factors, _no_pivot_factors(gen, float(n)), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_row_swap_falls_back_to_the_recurrence(self):
+        dl, d, du = -_SWAPPING.sub, -_SWAPPING.diag, -_SWAPPING.sup
+        ipiv = dgttrf(np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0))[4]
+        assert list(ipiv) == [2, 2, 3]
+        I = np.eye(2)
+        for mu in (0.0, 1.0, 2.0 ** 20):
+            R = ResolventOperator(_SWAPPING, mu)
+            for got, want in zip(R.factors, _no_pivot_factors(_SWAPPING, mu), strict=True):
+                assert np.array_equal(got, want)
+            dense = np.linalg.inv(mu * I - _SWAPPING.A)
+            for M, ref in ((R @ I, dense), (R.T @ I, dense.T)):
+                assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.min(M) >= 0.0
+        with pytest.raises(ValueError, match=r"^-0.02 does not exceed the spectral bound"
+                                             r".* <= 0 in row 1$"):
+            ResolventOperator(_SWAPPING, -0.02)
 
     def test_pivot_check_fires_below_the_spectral_bound(self):
         gen = GeneratorMatrix.from_matrix(_NONSYMMETRIC, lam0=0.5)

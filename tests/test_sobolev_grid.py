@@ -42,16 +42,20 @@ class TestGridDomain:
         assert GridDomain.torus(1.0, 10).h == pytest.approx(0.1)
 
     def test_rectangle_nodes(self):
-        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 2.0, 5)
+        dom = GridDomain.rectangle(0.0, 1.0, 2.0, 3.0, 5)
         pts = dom.points()
         assert pts.shape == (25, 2)
         assert dom.node_count == 25
 
     def test_rectangle_points_row_major(self):
-        dom = GridDomain.rectangle(0.0, 1.0, 0.0, 2.0, 5)
-        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+        dom = GridDomain.rectangle(0.0, 1.0, 2.0, 3.0, 5)
+        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(2.0, 3.0, 5)
         expected = np.array([(x, y) for x in xs for y in ys])
         np.testing.assert_array_equal(dom.points(), expected)
+
+    def test_rectangle_with_unequal_sides_rejected(self):
+        with pytest.raises(ValueError, match="one spacing h serves every axis"):
+            GridDomain.rectangle(0, 1, 0, 2, 5)
 
     def test_value_count_mismatch(self):
         with pytest.raises(ValueError):
