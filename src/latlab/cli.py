@@ -624,8 +624,9 @@ def _conform(field: str, value, default, ranges: dict):
 
     An integer passes for a number, a boolean for neither.  An object is
     checked field by field, and its missing fields take their defaults; a
-    list must be nonempty and each element must match the default's first
-    element.  A field in ``ranges`` must then also pass its range check.
+    list must be nonempty, each element must match the default's first
+    element, and no two elements may be equal (each names its own cases).
+    A field in ``ranges`` must then also pass its range check.
     """
     if type(value) is not type(default) and (type(default), type(value)) != (float, int):
         raise UsageError(
@@ -643,6 +644,9 @@ def _conform(field: str, value, default, ranges: dict):
             raise UsageError(f"config field {field} must be a nonempty list")
         for i, item in enumerate(value):
             _conform(f"{field}[{i}]", item, default[0], ranges)
+            if item in value[:i]:
+                raise UsageError(f"config field {field} repeats the entry {item!r}; "
+                                 "list entries must be distinct")
     if field in ranges and not ranges[field][0](value):
         raise UsageError(ranges[field][1].format(value))
     return value

@@ -8,6 +8,7 @@ face test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -180,7 +181,9 @@ class NormSpec:
 
     The Sobolev kinds carry the grid they live on.  Weighted lp admits
     p = 1 as well (the decomposition examples need it); the Sobolev kinds
-    require p strictly between 1 and infinity.
+    require p strictly between 1 and infinity.  ``monotone`` certifies
+    ||u|| <= ||v|| for 0 <= u <= v, which gives the span norm and the
+    renorm in closed form.
     """
 
     kind: str                                # "lp" | "sobolev" | "dual_sobolev"
@@ -228,6 +231,23 @@ class NormSpec:
         if self.kind == "lp":
             return len(self.weights)
         return self.domain.node_count
+
+    @functools.cached_property
+    def monotone(self) -> bool:
+        """Certified monotone on the standard cone: 0 <= u <= v gives ||u|| <= ||v||.
+
+        True for weighted lp, for W^{0,p} (the identity block alone) and for
+        the dual norm w g^T K^{-1} g at p = 2 when the stiffness K is a
+        certified M-matrix, since then K^{-1} >= 0 and
+        v^T K^{-1} v - u^T K^{-1} u = (v - u)^T K^{-1} (v + u) >= 0.
+        False for every other norm, whether or not it is monotone.
+        """
+        if self.kind == "lp":
+            return True
+        if self.kind == "sobolev":
+            return self.k == 0
+        return self.p == 2.0 and sobolev_grid.stiffness_inverse_nonnegative(
+            self.domain, self.k)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

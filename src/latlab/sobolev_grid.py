@@ -228,6 +228,31 @@ def _sobolev_stiffness_factor(domain: GridDomain, k: int):
     return scipy.sparse.linalg.splu((St @ S).tocsc())
 
 
+@functools.lru_cache(maxsize=64)
+def stiffness_inverse_nonnegative(domain: GridDomain, k: int) -> bool:
+    """Certify K^{-1} >= 0 entrywise for the stiffness K = S^T S.
+
+    Passes when K has no positive off-diagonal entry (a Z-matrix) and every
+    row has a positive diagonal that exceeds the sum of its off-diagonal
+    magnitudes by more than the rounding bound of that row's sum.  Such a K
+    is a nonsingular M-matrix, so K^{-1} >= 0 (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).  Holds for
+    k = 1 on every grid domain.  For k >= 2 the product D^T D of the second
+    differences has positive off-diagonal entries, and K^{-1} can indeed
+    have negative ones.
+    """
+    S, St = stacked_diff_operator(domain, k)
+    K = (St @ S).tocsr()
+    diag = K.diagonal()
+    off = K - scipy.sparse.diags(diag)
+    if off.nnz and off.data.max() > 0.0:
+        return False
+    row_abs = np.asarray(abs(K).sum(axis=1)).ravel()
+    margin = 2.0 * diag - row_abs  # diagonal minus the off-diagonal magnitudes
+    rounding = np.diff(K.indptr) * np.finfo(float).eps * row_abs
+    return bool(np.all(diag > 0.0) and np.all(margin > rounding))
+
+
 def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     """Dual norm sup <f,g>_h / ||f||_{k,q} over grid functions f.
 

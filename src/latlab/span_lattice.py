@@ -41,12 +41,15 @@ _SPAN_SOLVES = 8      # L-BFGS-B solves, each warm-started where the last one st
 def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
     """inf ||y|| + ||z|| over y, z >= 0 with x = y - z (standard cone).
 
-    Parameterizes y = x+ + s, z = x- + s with s >= 0; the objective is convex
-    in s, so a bounded L-BFGS-B solve from s = 0 reaches the minimum.  The
-    result is certified by the projected-gradient (KKT) residual
-    max|min(s, grad)| <= 1e-6 * (1 + value); otherwise a ConvergenceError
-    carries the best decomposition and the residual.  On the cone the value
-    equals the base norm exactly and is returned directly.
+    Every feasible pair is y = x+ + s, z = x- + s with s >= 0.  On the cone
+    the value equals the base norm exactly and is returned directly.  For a
+    norm certified monotone on the cone (``NormSpec.monotone``) the optimum
+    is s = 0, so the value is exactly ||x+|| + ||x-||, with no solve.
+    Otherwise the objective is convex in s, so a bounded L-BFGS-B solve
+    from s = 0 reaches the minimum.  That result is certified by the
+    projected-gradient (KKT) residual max|min(s, grad)| <= 1e-6 * (1 + value);
+    otherwise a ConvergenceError carries the best decomposition and the
+    residual.
     """
     if not space.cone.is_standard():
         raise ValueError("span norm optimization requires the standard cone")
@@ -60,6 +63,8 @@ def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
         return SpanNormResult(norm.value(x), xp, np.zeros_like(x))
     if not np.any(xp):
         return SpanNormResult(norm.value(-x), np.zeros_like(x), xm)
+    if norm.monotone:
+        return SpanNormResult(norm.value(xp) + norm.value(xm), xp, xm)
 
     def objective(s):
         val = norm.value(xp + s) + norm.value(xm + s)
@@ -97,9 +102,11 @@ _RENORM_SEED = 11
 
 @dataclass(frozen=True)
 class RenormResult:
-    """Maximum of the norm over [0, |x|]; ``exact`` marks vertex enumeration.
+    """Maximum of the norm over [0, |x|]; ``exact`` marks an exact maximum.
 
-    Inexact values are certified lower bounds from coordinate ascent.
+    Exact values come from the closed form ||(|x|)|| of a norm certified
+    monotone on the cone, or from vertex enumeration.  Inexact values are
+    certified lower bounds from coordinate ascent.
     """
 
     value: float
@@ -110,9 +117,11 @@ class RenormResult:
 def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     """sup { ||w|| : 0 <= w <= |x| } (standard cone).
 
-    Exact for dim <= 16 by enumerating the box vertices (the norm is convex,
-    so the maximum sits at a vertex); otherwise a coordinate-ascent lower
-    bound flagged exact=False.
+    For a norm certified monotone on the cone (``NormSpec.monotone``) the
+    maximum is ||(|x|)||, attained at the top vertex |x|, at every
+    dimension.  Otherwise it is exact for dim <= 16 by enumerating the box
+    vertices (the norm is convex, so the maximum sits at a vertex); above
+    that, a coordinate-ascent lower bound flagged exact=False.
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
@@ -122,6 +131,8 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
         return RenormResult(0.0, True, np.zeros_like(x))
     d = space.dim
     norm = space.norm
+    if norm.monotone:
+        return RenormResult(norm.value(ax), True, ax)
     if d <= RENORM_EXACT_MAX_DIM:
         masks = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(float)
         vals = norm.value_many(masks * ax)

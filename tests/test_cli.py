@@ -236,9 +236,21 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("normality-scan", {"order": {"p": 1}}, "order.p = 1 outside"),
     ("pushin-audit", {"order": {"p": 1}}, "order.p = 1 outside"),
     ("mollifier-rate", {"deltas": [0.001]}, "deltas = [0.001] too fine"),
+    ("renorm-audit", {"spaces": ["l2-dim8", "l2-dim8"]},
+     "config field spaces repeats the entry 'l2-dim8'"),
+    ("boundary-chart-audit", {"domains": ["interval", "rectangle", "interval"]},
+     "config field domains repeats the entry 'interval'"),
+    ("pushin-audit", {"domains": ["interval", "interval"]},
+     "config field domains repeats the entry 'interval'"),
+    ("prop35-demo", {"orders": [1, 2, 1]}, "config field orders repeats the entry 1"),
+    ("mollifier-rate", {"deltas": [0.1, 0.1]}, "config field deltas repeats the entry 0.1"),
+    ("normality-scan", {"eps": [0.1, 0.1]}, "config field eps repeats the entry 0.1"),
+    ("pushin-audit", {"ns": [2, 4, 2]}, "config field ns repeats the entry 2"),
 ], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
         "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
-        "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid"])
+        "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid",
+        "repeated-space", "repeated-chart-domain", "repeated-pushin-domain",
+        "repeated-order", "repeated-delta", "repeated-eps", "repeated-index"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

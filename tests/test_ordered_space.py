@@ -378,6 +378,19 @@ class TestNormSpec:
         with pytest.raises(ValueError):
             NormSpec.dual_sobolev(domain, 0, 2.0)
 
+    @pytest.mark.parametrize("make, monotone", [
+        (lambda: NormSpec.lp(np.linspace(0.5, 2, 6), 1.0), True),
+        (lambda: NormSpec.lp(np.linspace(0.5, 2, 6), 3.0), True),
+        (lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 6), 0, 3.0), True),
+        (lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0), False),
+        (lambda: NormSpec.dual_sobolev(GridDomain.torus(1.0, 6), 1, 2.0), True),
+        (lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 3.0), False),
+        (lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 8.0, 128), 2, 2.0), False),
+    ], ids=["lp-p1", "lp-p3", "sobolev-k0", "sobolev-k1", "dual-torus-k1",
+            "dual-k1-p3", "dual-k2-long-interval"])
+    def test_monotone_certificate(self, make, monotone):
+        assert make().monotone is monotone
+
     def test_lp_allows_p_equal_one(self):
         spec = NormSpec.lp(np.ones(3), 1.0)
         assert spec.value(np.array([1.0, -2.0, 0.5])) == pytest.approx(3.5)

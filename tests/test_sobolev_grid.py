@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,8 @@ from latlab.sobolev_grid import (
     positive_dominant_w0,
     pushin_operator,
     sobolev_norm,
+    stacked_diff_operator,
+    stiffness_inverse_nonnegative,
 )
 
 
@@ -156,6 +159,37 @@ class TestNegativeSobolevNorm:
         dom = GridDomain.interval(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             negative_sobolev_norm(GridFunction(dom, np.ones(8)), 0, 2.0)
+
+
+def _dense_stiffness(domain, k):
+    S, _ = stacked_diff_operator(domain, k)
+    return (S.T @ S).toarray()
+
+
+class TestStiffnessCertificate:
+    @pytest.mark.parametrize("domain", [
+        GridDomain.interval(0.0, 1.0, 10), GridDomain.interval(0.0, 8.0, 128),
+        GridDomain.torus(1.0, 64), GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 8),
+    ], ids=["interval-n10", "interval-8-n128", "torus-n64", "rectangle-n8"])
+    def test_first_order_certified_and_inverse_nonnegative(self, domain):
+        assert stiffness_inverse_nonnegative(domain, 1)
+        assert np.linalg.inv(_dense_stiffness(domain, 1)).min() >= 0.0
+
+    def test_second_order_on_a_long_interval_rejected(self):
+        domain = GridDomain.interval(0.0, 8.0, 128)
+        assert not stiffness_inverse_nonnegative(domain, 2)
+        assert np.linalg.inv(_dense_stiffness(domain, 2)).min() < 0.0
+
+    # K = S^T S of each S: strictly dominant with a positive off-diagonal entry
+    # (K^{-1} has a negative entry), and a singular Z-matrix with no margin
+    @pytest.mark.parametrize("S", [[[1.0, 0.1], [0.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]],
+                             ids=["dominant-not-z", "z-not-dominant"])
+    def test_each_condition_is_needed(self, S, monkeypatch):
+        S = scipy.sparse.csr_matrix(np.array(S))
+        monkeypatch.setattr(sobolev_grid, "stacked_diff_operator",
+                            lambda domain, k: (S, S.T.tocsr()))
+        domain = GridDomain.interval(0.0, 1.0, 4)
+        assert not stiffness_inverse_nonnegative.__wrapped__(domain, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latlab.ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
-from latlab.sobolev_grid import ConvergenceError, GridDomain, GridFunction, Mollifier
+from latlab.sobolev_grid import (
+    ConvergenceError,
+    GridDomain,
+    GridFunction,
+    Mollifier,
+    stacked_diff_operator,
+)
 from latlab.span_lattice import (
     ApproximationScheme,
     PeriodicCorrelation,
@@ -23,6 +29,41 @@ from latlab.span_lattice import (
 
 def l2_space(dim):
     return OrderedSpaceSpec.standard_lp(np.ones(dim), 2.0)
+
+
+def dual_space(domain):
+    dim = domain.node_count
+    return OrderedSpaceSpec(dim, PolyhedralCone.standard(dim),
+                            NormSpec.dual_sobolev(domain, 1, 2.0))
+
+
+_MONOTONE_FAMILIES = ["lp", "dual-interval", "dual-torus", "dual-rectangle"]
+
+
+def monotone_space(family, rng):
+    """A random space whose norm is certified monotone.
+
+    Dimension <= 12, except the 4 x 4 rectangle (16 nodes, the coarsest grid).
+    """
+    if family == "lp":
+        d = int(rng.integers(1, 13))
+        return OrderedSpaceSpec.standard_lp(rng.uniform(0.1, 5.0, d), rng.uniform(1.0, 4.0))
+    length = rng.uniform(0.5, 8.0)
+    if family == "dual-interval":
+        return dual_space(GridDomain.interval(0.0, length, int(rng.integers(4, 13))))
+    if family == "dual-torus":
+        return dual_space(GridDomain.torus(length, int(rng.integers(4, 13))))
+    return dual_space(GridDomain.rectangle(0.0, length, 0.0, length, 4))
+
+
+def dense_norms(space, W):
+    """Norms of the rows of W from the definition, with dense linear algebra."""
+    norm = space.norm
+    if norm.kind == "lp":
+        return np.sum(norm.weights * np.abs(W) ** norm.p, axis=1) ** (1.0 / norm.p)
+    S, _ = stacked_diff_operator(norm.domain, norm.k)
+    K = (S.T @ S).toarray()
+    return np.sqrt(norm.domain.cell_measure * np.sum(W * np.linalg.solve(K, W.T).T, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +159,43 @@ class TestSpanNorm:
             g = space.norm.grad(res.y) + space.norm.grad(res.z)
             assert np.max(np.abs(np.minimum(s, g))) <= 1e-6 * (1.0 + res.value)
 
+    @given(st.sampled_from(_MONOTONE_FAMILIES), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_monotone_norm_is_closed_form(self, family, seed):
+        rng = np.random.default_rng(seed)
+        space = monotone_space(family, rng)
+        assert space.norm.monotone
+        x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(space.dim)
+        xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
+        res = span_norm(space, x)
+        assert res.value == space.norm.value(xp) + space.norm.value(xm)
+        assert np.array_equal(res.y - res.z, x)
+        # no feasible decomposition y = x+ + s, z = x- + s does better
+        for _ in range(20):
+            s = 10.0 ** rng.uniform(-6, 1) * np.abs(x).max() * rng.uniform(0, 1, space.dim)
+            alt = space.norm.value(xp + s) + space.norm.value(xm + s)
+            assert res.value <= alt * (1.0 + 1e-12)
+
+    def test_certified_monotone_norm_solves_and_enumerates_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a certified monotone norm takes the closed forms")
+
+        monkeypatch.setattr("scipy.optimize.minimize", forbidden)
+        monkeypatch.setattr(NormSpec, "value_many", forbidden)
+        x = np.array([1.0, -2.0, 0.5, -0.25, 3.0, -1.0])
+        for space in (OrderedSpaceSpec.standard_lp(np.linspace(0.5, 2.0, 6), 3.0),
+                      dual_space(GridDomain.interval(0.0, 1.0, 6)),
+                      dual_space(GridDomain.torus(1.0, 6))):
+            span_norm(space, x)
+            assert renorm_value(space, x).exact
+
     def test_uncertified_solve_raises_with_best(self, monkeypatch):
         grad = NormSpec.grad
         monkeypatch.setattr(NormSpec, "grad", lambda self, x: -grad(self, x))
         x = np.array([1.0, -2.0, 0.5, -0.25])
+        space = OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0, 1, 4), 1, 2.0)
         with pytest.raises(ConvergenceError) as info:
-            span_norm(l2_space(4), x)
+            span_norm(space, x)
         best = info.value.best
         assert np.all(best.y >= 0) and np.all(best.z >= 0)
         assert np.max(np.abs(best.y - best.z - x)) <= 1e-12
@@ -160,6 +232,19 @@ class TestRenormValue:
             best = max(best, np.sqrt(h * np.sum(w ** 2) + h * np.sum(dw ** 2)))
         assert res.exact and res.value == pytest.approx(best, abs=1e-12)
 
+    @given(st.sampled_from(_MONOTONE_FAMILIES), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_monotone_norm_matches_brute_force(self, family, seed):
+        rng = np.random.default_rng(seed)
+        space = monotone_space(family, rng)
+        x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(space.dim)
+        res = renorm_value(space, x)
+        d = space.dim
+        masks = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
+        best = float(np.max(dense_norms(space, masks * np.abs(x))))
+        assert res.exact and np.array_equal(res.maximizer, np.abs(x))
+        assert abs(res.value - best) <= 1e-12 * best
+
     def test_zero(self):
         assert renorm_value(l2_space(3), np.zeros(3)).value == 0.0
 
@@ -188,13 +273,24 @@ class TestRenormValue:
             assert space.norm.value(w1) <= rx.value + 1e-10
             assert space.norm.value(w2) <= ry.value + 1e-10
 
-    def test_large_dimension_lower_bound_flag(self):
+    def test_large_dimension_monotone_norm_is_exact(self):
         space = OrderedSpaceSpec.standard_lp(np.ones(20), 2.0)
         x = np.ones(20)
         res = renorm_value(space, x)
+        assert res.exact
+        assert res.value == space.norm.value(x)
+
+    def test_large_dimension_lower_bound_flag_on_sobolev(self):
+        domain = GridDomain.interval(0.0, 1.0, 20)
+        space = OrderedSpaceSpec.standard_sobolev(domain, 1, 2.0)
+        x = np.random.default_rng(0).standard_normal(20)
+        res = renorm_value(space, x)
         assert not res.exact
-        # monotone norm: coordinate ascent still lands on the top vertex
-        assert res.value == pytest.approx(space.norm.value(x), abs=1e-12)
+        assert np.all(res.maximizer >= 0) and np.all(res.maximizer <= np.abs(x))
+        assert res.value == space.norm.value(res.maximizer)
+        # every w in [0, |x|] is a sum of w_j e_j with w_j <= |x_j|
+        bound = sum(abs(xj) * space.norm.value(e) for xj, e in zip(x, np.eye(20)))
+        assert res.value < bound
 
 
 class TestRenormBounds:
