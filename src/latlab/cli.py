@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import extrapolation, ordered_space, sobolev_grid, span_lattice
+from . import extrapolation, sobolev_grid
 from .extrapolation import (
     ExtrapolationSpace,
     multiplication_example_check,
@@ -80,17 +80,20 @@ class MergeError(ValueError):
 class ReportRow:
     """One experiment case: parameter snapshot, measured values, verdict.
 
-    FAIL rows carry a machine-readable witness (JSON-encoded).  Wall time is
-    kept off the CSV so that repeated runs are byte-identical.
+    The keys of ``params`` and then of ``values`` are the CSV columns between
+    ``case`` and ``status``, so every row of a run has the same keys in the
+    same order.  A FAIL row carries a machine-readable witness (JSON-encoded).
     """
 
-    experiment: str
     case: str
     params: dict
     values: dict
-    status: str
+    ok: bool
     witness: str = ""
-    wall_time: float = 0.0
+
+    @property
+    def status(self) -> str:
+        return "PASS" if self.ok else "FAIL"
 
 
 def _fmt(v) -> str:
@@ -103,16 +106,18 @@ def _fmt(v) -> str:
 # Shared sample generators
 # ---------------------------------------------------------------------------
 
-def _trig_profile(rng: np.random.Generator, t: np.ndarray, curvature: float,
-                  modes: int = 3) -> np.ndarray:
+_TRIG_MODES = 3
+
+
+def _trig_profile(rng: np.random.Generator, t: np.ndarray, curvature: float) -> np.ndarray:
     """Random trigonometric polynomial scaled to a fixed curvature budget."""
-    coeffs = rng.uniform(0.3, 1.0, size=modes)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
-    signs = rng.choice([-1.0, 1.0], size=modes)
-    weights = np.array([(2.0 * np.pi * (j + 1)) ** 2 for j in range(modes)])
+    coeffs = rng.uniform(0.3, 1.0, size=_TRIG_MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_TRIG_MODES)
+    signs = rng.choice([-1.0, 1.0], size=_TRIG_MODES)
+    weights = np.array([(2.0 * np.pi * (j + 1)) ** 2 for j in range(_TRIG_MODES)])
     coeffs = signs * coeffs * curvature / float(weights @ np.abs(coeffs))
     out = np.zeros_like(t)
-    for j in range(modes):
+    for j in range(_TRIG_MODES):
         out += coeffs[j] * np.sin(2.0 * np.pi * (j + 1) * t + phases[j])
     return out
 
@@ -157,8 +162,8 @@ def _sup_gaps(compute, Z: np.ndarray) -> list[tuple[float, str]]:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
-    name = "sup-construct-dual" if dual else "sup-construct"
+def _run_sup_construct(cfg: dict, sup) -> list[ReportRow]:
+    """Rows of ``sup``, constructive_sup or constructive_sup_dual, on random profiles."""
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
     scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
@@ -168,19 +173,14 @@ def _run_sup_construct(cfg: dict, dual: bool) -> list[ReportRow]:
     t_ax = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
     Z = np.column_stack([_trig_profile(rng, t_ax, cfg["curvature"])
                          for _ in range(cfg["samples"])])
-    if dual:
-        results = _sup_gaps(lambda: constructive_sup_dual(scheme, Z, tol), Z)
-    else:
-        results = _sup_gaps(lambda: constructive_sup(scheme, Z, tol), Z)
     rows = []
-    for i, (gap, error) in enumerate(results):
+    for i, (gap, error) in enumerate(_sup_gaps(lambda: sup(scheme, Z, tol), Z)):
         ok = not error and gap <= threshold
         rows.append(ReportRow(
-            name, f"z{i:03d}",
+            f"z{i:03d}",
             params={"domain": kind, "grid_n": n, "scheme": cfg["scheme"]["family"],
                     "tol": tol, "seed": cfg["seed"]},
-            values={"gap": gap},
-            status="PASS" if ok else "FAIL",
+            values={"gap": gap}, ok=ok,
             witness=error or ("" if ok else json.dumps(list(Z[:, i]), separators=(",", ":"))),
         ))
     return rows
@@ -201,11 +201,10 @@ def _run_normality_scan(cfg: dict) -> list[ReportRow]:
         growth = ratio / prev if prev is not None else float("nan")
         ok = prev is None or (cfg["growth_low"] <= growth <= cfg["growth_high"])
         rows.append(ReportRow(
-            "normality-scan", f"eps={eps:g}",
+            f"eps={eps:g}",
             params={"eps": eps, "h": domain.h, "k": cfg["order"]["k"],
                     "p": cfg["order"]["p"], "seed": cfg["seed"]},
-            values={"ratio": ratio, "growth": growth},
-            status="PASS" if ok else "FAIL",
+            values={"ratio": ratio, "growth": growth}, ok=ok,
             witness="" if ok else json.dumps({"eps": eps, "growth": growth}),
         ))
         prev = ratio
@@ -230,10 +229,9 @@ def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
             order = math.log2(errs[i - 1] / e)
             ok = order >= cfg["order_min"]
         rows.append(ReportRow(
-            "mollifier-rate", f"delta={d:g}",
+            f"delta={d:g}",
             params={"grid_n": cfg["domain"]["n"], "delta": d, "seed": cfg["seed"]},
-            values={"err_inf": e, "order": order},
-            status="PASS" if ok else "FAIL",
+            values={"err_inf": e, "order": order}, ok=ok,
             witness="" if ok else json.dumps({"delta": d, "order": order}),
         ))
     return rows
@@ -272,11 +270,10 @@ def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
                     witness = json.dumps({"n": n, "sample": list(pts[bad][0])})
                 violations += int(bad.sum())
             rows.append(ReportRow(
-                "boundary-chart-audit", f"{domain.kind}-chart{ci}",
+                f"{domain.kind}-chart{ci}",
                 params={"domain": domain.kind, "chart": ci, "samples": samples,
                         "seed": cfg["seed"]},
-                values={"violations": float(violations)},
-                status="PASS" if violations == 0 else "FAIL",
+                values={"violations": float(violations)}, ok=violations == 0,
                 witness=witness,
             ))
     return rows
@@ -306,21 +303,20 @@ def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
                 worst_neg = min(worst_neg, float(np.min(sf_pos)))
             ok = worst_support == 0.0 and worst_neg >= 0.0
             rows.append(ReportRow(
-                "pushin-audit", f"{domain.kind}-n{n}",
+                f"{domain.kind}-n{n}",
                 params={"domain": domain.kind, "grid_n": domain.n, "n": n,
                         "seed": cfg["seed"]},
                 values={"outside_max": worst_support, "min_positive_image": worst_neg},
-                status="PASS" if ok else "FAIL",
-                witness="" if ok else json.dumps({"outside_max": worst_support}),
+                ok=ok, witness="" if ok else json.dumps({"outside_max": worst_support}),
             ))
         if domain.d == 1:
             decreasing = all(b < a for a, b in zip(errs, errs[1:]))
             rows.append(ReportRow(
-                "pushin-audit", f"{domain.kind}-convergence",
+                f"{domain.kind}-convergence",
                 params={"domain": domain.kind, "grid_n": domain.n, "n": ns[-1],
                         "seed": cfg["seed"]},
                 values={"outside_max": 0.0, "min_positive_image": float(errs[-1])},
-                status="PASS" if decreasing else "FAIL",
+                ok=decreasing,
                 witness="" if decreasing else json.dumps({"errors": errs}),
             ))
     return rows
@@ -353,11 +349,10 @@ def _run_prop35_demo(cfg: dict) -> list[ReportRow]:
                 u = D @ u
             ok = min_g >= -1e-10 and min_dom >= -1e-10 and resid <= 1e-10
             rows.append(ReportRow(
-                "prop35-demo", f"k{k}-f{i:02d}",
+                f"k{k}-f{i:02d}",
                 params={"k": k, "grid_n": domain.n, "seed": cfg["seed"]},
                 values={"min_g": min_g, "min_g_minus_f": min_dom, "endpoint_resid": resid},
-                status="PASS" if ok else "FAIL",
-                witness="" if ok else json.dumps(list(f.values[:8])),
+                ok=ok, witness="" if ok else json.dumps(list(f.values[:8])),
             ))
     return rows
 
@@ -367,12 +362,7 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     rows = []
 
     def add(case, value, ok, witness=""):
-        rows.append(ReportRow(
-            "extrapolation-demo", case,
-            params={"seed": cfg["seed"]},
-            values={"value": float(value)},
-            status="PASS" if ok else "FAIL", witness=witness,
-        ))
+        rows.append(ReportRow(case, {"seed": cfg["seed"]}, {"value": float(value)}, ok, witness))
 
     for label, m in [("m013", np.array([0.0, 1.0, 3.0])),
                      ("rand1", rng.uniform(0.0, 4.0, size=5)),
@@ -426,30 +416,32 @@ _RENORM_SPACES = {
 }
 
 
-def estimate_renorm_constants(space: OrderedSpaceSpec, xs) -> tuple[float, float]:
-    """Witness-based M and C on a sample set, for the renorm bound suite.
+def estimate_renorm_constants(space: OrderedSpaceSpec,
+                              xs) -> tuple[float, float, list[tuple[float, float]]]:
+    """Witness-based M and C on a sample set, and each sample's two norms.
 
     The witness family per sample x: the positive parts against |x|, the
     exact renorm maximizer against |x|, and the positive parts against the
     minimizing span decomposition.  Zero samples bound neither constant and
-    are skipped.
+    are skipped.  The third result holds (||x||, |||x|||) for every sample in
+    order, the inputs of ``renorm_bounds_check``.
     """
-    witnesses, span_ratios = [], []
+    witnesses, span_ratios, norms = [], [], []
     for x in xs:
         x = np.asarray(x, dtype=float)
-        nx = space.norm.value(x)
+        nx, ren = space.norm.value(x), renorm_value(space, x)
+        norms.append((nx, ren.value))
         if nx == 0.0:
             continue
         ax = np.abs(x)
         xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
         dec = span_norm(space, x)
-        ren = renorm_value(space, x)
         witnesses += [(xp, ax), (xm, ax), (ren.maximizer, ax), (xp, dec.y), (xm, dec.z)]
         span_ratios.append(dec.value / nx)
     if not span_ratios:
         raise ValueError("all samples were zero")
     witnesses = [(a, b) for a, b in witnesses if space.norm.value(b) > 0]
-    return normality_constant_lower_bound(space, witnesses), max(span_ratios)
+    return normality_constant_lower_bound(space, witnesses), max(span_ratios), norms
 
 
 def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
@@ -461,18 +453,17 @@ def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
             raise UsageError(f"unknown renorm-audit space {name!r}")
         space = _RENORM_SPACES[name]()
         xs = [rng.standard_normal(space.dim) for _ in range(cfg["samples"])]
-        M, C = estimate_renorm_constants(space, xs)
+        M, C, norms = estimate_renorm_constants(space, xs)
         M_i, C_i = inflate * M, inflate * C
-        for i, x in enumerate(xs):
-            rep = renorm_bounds_check(space, x, M_i, C_i)
+        for i, (x, (base, ren)) in enumerate(zip(xs, norms)):
+            rep = renorm_bounds_check(base, ren, M_i, C_i)
             rows.append(ReportRow(
-                "renorm-audit", f"{name}-x{i:03d}",
+                f"{name}-x{i:03d}",
                 params={"space": name, "dim": space.dim, "M": M_i, "C": C_i,
                         "seed": cfg["seed"]},
                 values={"base_norm": rep.base_norm, "renorm": rep.renorm,
                         "slack_low": rep.slack_low, "slack_high": rep.slack_high},
-                status="PASS" if rep.passed else "FAIL",
-                witness="" if rep.passed else json.dumps(list(x)),
+                ok=rep.passed, witness="" if rep.passed else json.dumps(list(x)),
             ))
     return rows
 
@@ -481,49 +472,34 @@ def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
 # Experiment registry, config validation
 # ---------------------------------------------------------------------------
 
-# "defaults" is each experiment's complete config schema: normalize_config
-# accepts only these fields, each with its default's JSON type, and the
-# runner reads every one of them (tests/test_cli.py checks that it does).
-_SUP_DEFAULTS = {
-    "seed": 0,
-    "samples": 10,
-    "domain": {"kind": "torus", "n": 64},
-    "scheme": {"family": "mollifier", "tol": 4e-5},
-    "gap_threshold": 1e-5,
-    "curvature": 0.005,
-}
-
 # the W^{k,p} norms of normality-scan and pushin-audit need p > 1
 _SOBOLEV_RANGES = {
     "order.p": (lambda v: v > 1,
                 "order.p = {!r} outside the allowed range: need a number > 1"),
 }
 
+# "defaults" is each experiment's complete config schema: normalize_config
+# accepts only these fields, each with its default's JSON type, and the
+# runner reads every one of them (tests/test_cli.py checks that it does).
+# The primal and the dual supremum share everything but the runner.
+_SUP = {
+    "domain_kinds": ("torus", "interval"),
+    "defaults": {"seed": 0, "samples": 10, "domain": {"kind": "torus", "n": 64},
+                 "scheme": {"family": "mollifier", "tol": 4e-5},
+                 "gap_threshold": 1e-5, "curvature": 0.005},
+    "gap_field": "gap",
+}
+
 _EXPERIMENTS: dict[str, dict] = {
-    "sup-construct": {
-        "runner": lambda cfg: _run_sup_construct(cfg, dual=False),
-        "domain_kinds": ("torus", "interval"),
-        "defaults": _SUP_DEFAULTS,
-        "params": ["domain", "grid_n", "scheme", "tol", "seed"],
-        "values": ["gap"],
-        "gap_field": "gap",
-    },
+    "sup-construct": {**_SUP, "runner": lambda cfg: _run_sup_construct(cfg, constructive_sup)},
     "sup-construct-dual": {
-        "runner": lambda cfg: _run_sup_construct(cfg, dual=True),
-        "domain_kinds": ("torus", "interval"),
-        "defaults": _SUP_DEFAULTS,
-        "params": ["domain", "grid_n", "scheme", "tol", "seed"],
-        "values": ["gap"],
-        "gap_field": "gap",
-    },
+        **_SUP, "runner": lambda cfg: _run_sup_construct(cfg, constructive_sup_dual)},
     "normality-scan": {
         "runner": _run_normality_scan,
         "defaults": {"seed": 0, "order": {"k": 1, "p": 2.0},
                      "eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
                      "growth_low": 1.7, "growth_high": 2.3},
         "ranges": _SOBOLEV_RANGES,
-        "params": ["eps", "h", "k", "p", "seed"],
-        "values": ["ratio", "growth"],
         "gap_field": None,
     },
     "mollifier-rate": {
@@ -531,8 +507,6 @@ _EXPERIMENTS: dict[str, dict] = {
         "domain_kinds": ("torus",),
         "defaults": {"seed": 0, "domain": {"kind": "torus", "n": 128},
                      "deltas": [0.1, 0.05, 0.025], "order_min": 1.8},
-        "params": ["grid_n", "delta", "seed"],
-        "values": ["err_inf", "order"],
         "gap_field": "err_inf",
     },
     "boundary-chart-audit": {
@@ -541,8 +515,6 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "domains": ["interval", "rectangle"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 64},
                      "ns": [2, 4, 8], "chart_samples": 10_000},
-        "params": ["domain", "chart", "samples", "seed"],
-        "values": ["violations"],
         "gap_field": "violations",
     },
     "pushin-audit": {
@@ -552,8 +524,6 @@ _EXPERIMENTS: dict[str, dict] = {
                      "domain": {"kind": "interval", "n": 513},
                      "ns": [2, 4, 8], "order": {"p": 2.0}},
         "ranges": _SOBOLEV_RANGES,
-        "params": ["domain", "grid_n", "n", "seed"],
-        "values": ["outside_max", "min_positive_image"],
         "gap_field": "outside_max",
     },
     "prop35-demo": {
@@ -561,8 +531,6 @@ _EXPERIMENTS: dict[str, dict] = {
         "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "samples": 20, "domain": {"kind": "interval", "n": 257},
                      "orders": [1, 2]},
-        "params": ["k", "grid_n", "seed"],
-        "values": ["min_g", "min_g_minus_f", "endpoint_resid"],
         "gap_field": "endpoint_resid",
     },
     "extrapolation-demo": {
@@ -572,16 +540,12 @@ _EXPERIMENTS: dict[str, dict] = {
                      "domain": {"kind": "interval", "n": 32},
                      "scheme": {"tol": 1e-6}, "gap_threshold": 1e-5},
         "caveat": extrapolation.FINITE_DIMENSION_CAVEAT,
-        "params": ["seed"],
-        "values": ["value"],
         "gap_field": "value",
     },
     "renorm-audit": {
         "runner": _run_renorm_audit,
         "defaults": {"seed": 0, "samples": 50, "spaces": list(_RENORM_SPACES),
                      "inflation": 1.05},
-        "params": ["space", "dim", "M", "C", "seed"],
-        "values": ["base_norm", "renorm", "slack_low", "slack_high"],
         "gap_field": None,
     },
 }
@@ -677,15 +641,12 @@ def run_id_of(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def run(cfg: dict) -> list[ReportRow]:
-    """Dispatch a normalized config to its experiment; deterministic per seed."""
-    cfg = normalize_config(cfg)
+def run(cfg: dict) -> tuple[list[ReportRow], float]:
+    """Run a normalized config's experiment: its rows, deterministic per seed,
+    and the runner's wall time in seconds."""
     start = time.perf_counter()
     rows = _EXPERIMENTS[cfg["experiment"]]["runner"](cfg)
-    elapsed = time.perf_counter() - start
-    for row in rows:
-        row.wall_time = elapsed
-    return rows
+    return rows, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -705,43 +666,31 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_report(cfg: dict, rows: list[ReportRow], out_dir) -> tuple[Path, Path]:
-    """Write the CSV and the JSON summary; returns both paths."""
-    cfg = normalize_config(cfg)
+def write_report(cfg: dict, rows: list[ReportRow], wall_time: float,
+                 out_dir) -> tuple[Path, Path]:
+    """Write the CSV of a normalized config's rows and its JSON summary.
+
+    The CSV columns are ``case``, the keys of the first row's ``params`` and
+    then of its ``values``, ``status`` and ``witness``.  The summary's pass
+    and fail counts and worst gap are ``report_merge``'s, read back from the
+    CSV.  Returns both paths.
+    """
     spec = _EXPERIMENTS[cfg["experiment"]]
     rid = run_id_of(cfg)
     out_dir = Path(out_dir)
-    columns = ["case"] + spec["params"] + spec["values"] + ["status", "witness"]
     fh = io.StringIO()
     fh.write(f"# schema={SCHEMA_VERSION},run_id={rid},experiment={cfg['experiment']}\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(["case", *rows[0].params, *rows[0].values, "status", "witness"])
     for row in rows:
-        cells = [row.case]
-        cells += [_fmt(row.params.get(k, "")) for k in spec["params"]]
-        cells += [_fmt(row.values.get(k, "")) for k in spec["values"]]
-        cells += [row.status, row.witness]
-        writer.writerow(cells)
+        writer.writerow([row.case, *map(_fmt, row.params.values()),
+                         *map(_fmt, row.values.values()), row.status, row.witness])
     csv_path = out_dir / f"{cfg['experiment']}-{rid}.csv"
     _atomic_write(csv_path, fh.getvalue())
 
-    n_pass = sum(r.status == "PASS" for r in rows)
-    n_fail = len(rows) - n_pass
-    gap_field = spec["gap_field"]
-    worst = None
-    if gap_field:
-        gaps = [r.values[gap_field] for r in rows
-                if isinstance(r.values.get(gap_field), float)
-                and math.isfinite(r.values[gap_field])]
-        worst = max(gaps) if gaps else None
-    summary = {
-        "run_id": rid,
-        "experiment": cfg["experiment"],
-        "pass": n_pass,
-        "fail": n_fail,
-        "worst_gap": worst,
-        "wall_time_s": rows[0].wall_time if rows else 0.0,
-    }
+    tally = report_merge([csv_path])["experiments"][cfg["experiment"]]
+    summary = {"run_id": rid, "experiment": cfg["experiment"], **tally,
+               "wall_time_s": wall_time}
     if "caveat" in spec:
         summary["caveat"] = spec["caveat"]
     json_path = out_dir / f"{cfg['experiment']}-{rid}.json"
@@ -863,12 +812,13 @@ def main(argv=None) -> int:
         raw["experiment"] = args.experiment
         if args.seed is not None:
             raw["seed"] = args.seed
-        rows = run(raw)
-        csv_path, json_path = write_report(raw, rows, args.out)
-        n_fail = sum(r.status == "FAIL" for r in rows)
-        print(f"{'FAIL' if n_fail else 'PASS'}: {len(rows) - n_fail}/{len(rows)} "
+        cfg = normalize_config(raw)
+        rows, wall_time = run(cfg)
+        csv_path, json_path = write_report(cfg, rows, wall_time, args.out)
+        summary = json.loads(json_path.read_text())
+        print(f"{'FAIL' if summary['fail'] else 'PASS'}: {summary['pass']}/{len(rows)} "
               f"rows passed -> {csv_path}")
-        return 1 if n_fail else 0
+        return 1 if summary["fail"] else 0
     except (UsageError, MergeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

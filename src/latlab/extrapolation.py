@@ -34,6 +34,8 @@ FINITE_DIMENSION_CAVEAT = (
     "base norm, so the extrapolation cone equals the standard cone; the "
     "infinite-dimensional phenomenon of a non-generating cone is not modeled"
 )
+_CONE_NNLS_TOL = 1e-9         # relative NNLS residual accepted as cone membership
+_MULTIPLICATION_SAMPLES = 100  # random vectors per check of the multiplication example
 
 
 class ResolventOperator(LinearOperator):
@@ -208,7 +210,7 @@ class ExtrapolationSpace:
     def resolvent_operator(self) -> ResolventOperator:
         return ResolventOperator(self.generator, self.lam)
 
-    def in_extrapolation_cone(self, x, tol: float = 1e-9) -> bool | np.ndarray:
+    def in_extrapolation_cone(self, x) -> bool | np.ndarray:
         """Membership in the closure of the positive cone under the -1 norm.
 
         Computed as vanishing distance from x to the standard cone in the
@@ -223,7 +225,7 @@ class ExtrapolationSpace:
         for row in np.atleast_2d(x):
             y = R @ row
             _, resid = scipy.optimize.nnls(R, y)
-            inside.append(resid <= tol * (1.0 + float(np.linalg.norm(y))))
+            inside.append(resid <= _CONE_NNLS_TOL * (1.0 + float(np.linalg.norm(y))))
         return inside[0] if x.ndim == 1 else np.array(inside, dtype=bool)
 
 
@@ -349,7 +351,7 @@ class MultiplicationReport:
 
 
 def multiplication_example_check(m, p: float = 2.0, mu_weights=None,
-                                 n_samples: int = 100, seed: int = 0) -> MultiplicationReport:
+                                 seed: int = 0) -> MultiplicationReport:
     """Exact identity of the multiplication extrapolation norm at lam = 1.
 
     The norm equals the weighted p-norm with weights mu / (1 + m)^p; the
@@ -366,12 +368,12 @@ def multiplication_example_check(m, p: float = 2.0, mu_weights=None,
     space = ExtrapolationSpace(base, gen, lam=1.0)
 
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_samples, len(m)))
+    X = rng.standard_normal((_MULTIPLICATION_SAMPLES, len(m)))
     lhs = extrapolation_norm(space, X)
     rhs = np.sum(mu * np.abs(X) ** p / (1.0 + m) ** p, axis=1) ** (1.0 / p)
     worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
 
-    trials = n_samples
+    trials = _MULTIPLICATION_SAMPLES
     rows = []
     for _ in range(trials):
         x = rng.standard_normal(len(m))

@@ -20,6 +20,7 @@ from .sobolev_grid import GridDomain, GridFunction
 
 CONE_TOL = 1e-10   # absolute tolerance for cone membership
 LP_TOL = 1e-9      # feasibility tolerance for linear programs and polyhedron vertices
+_NORM_CHECK_SAMPLES = 6  # random pairs of the homogeneity and triangle checks of a norm
 
 
 class DegenerateConeError(ValueError):
@@ -35,14 +36,11 @@ class PolyhedralCone:
     """Cone {x : ineq @ x >= 0 componentwise} in inequality form.
 
     Pointedness is certified at construction by a rank test: the lineality
-    space of {ineq @ x >= 0} is the kernel of ``ineq``.  The unchecked
-    ``wedge`` constructor is the escape hatch for deliberately degenerate
-    systems.
+    space of {ineq @ x >= 0} is the kernel of ``ineq``.
     """
 
     dim: int
     ineq: np.ndarray
-    checked: bool = True
 
     def __post_init__(self):
         ineq = np.atleast_2d(np.asarray(self.ineq, dtype=float))
@@ -52,19 +50,12 @@ class PolyhedralCone:
             )
         ineq.setflags(write=False)
         object.__setattr__(self, "ineq", ineq)
-        if (self.checked and not self.is_standard()
-                and np.linalg.matrix_rank(ineq) < self.dim):
+        if not self.is_standard() and np.linalg.matrix_rank(ineq) < self.dim:
             raise DegenerateConeError("inequality system has nontrivial lineality space")
 
     @classmethod
     def standard(cls, dim: int) -> "PolyhedralCone":
         return cls(dim, np.eye(dim))
-
-    @classmethod
-    def wedge(cls, ineq) -> "PolyhedralCone":
-        """Unchecked construction; degenerate systems allowed."""
-        ineq = np.atleast_2d(np.asarray(ineq, dtype=float))
-        return cls(ineq.shape[1], ineq, checked=False)
 
     def is_standard(self) -> bool:
         return self.ineq.shape == (self.dim, self.dim) and np.array_equal(
@@ -150,25 +141,22 @@ def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """Cone of functionals nonnegative on the given cone.
 
-    Requires a pointed cone with nonempty interior; the dual is represented
-    by the inequality system whose rows are the primal extreme rays.
+    Requires a pointed cone (the constructor certifies that) with nonempty
+    interior; the dual is represented by the inequality system whose rows
+    are the primal extreme rays.
     """
-    if np.linalg.matrix_rank(cone.ineq) < cone.dim:
-        raise DegenerateConeError(
-            "inequality system not full rank; dual wedge is not a cone"
-        )
     if _interior_point_value(cone) <= LP_TOL:
         raise DegenerateConeError("cone has empty interior; dual wedge is not a cone")
     return PolyhedralCone(cone.dim, cone_generators(cone))
 
 
-def in_generated_cone(generators: np.ndarray, x, tol: float = LP_TOL) -> bool:
+def in_generated_cone(generators: np.ndarray, x) -> bool:
     """Membership in the cone of nonnegative combinations of the generators."""
     G = np.atleast_2d(np.asarray(generators, dtype=float))
     x = np.asarray(x, dtype=float)
     scale = 1.0 + float(np.linalg.norm(x))
     _, resid = scipy.optimize.nnls(G.T, x)
-    return resid <= tol * scale
+    return resid <= LP_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +255,7 @@ class NormSpec:
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_norms(self.domain, self.k, self.p, X.T)
         if self.p == 2.0:
-            w = self.domain.cell_measure
-            lu = sobolev_grid._sobolev_stiffness_factor(self.domain, self.k)
-            U = lu.solve(X.T)
-            return np.sqrt(np.maximum(w * np.sum(U.T * X, axis=1), 0.0))
+            return sobolev_grid.negative_sobolev_norms(self.domain, self.k, X.T)
         return np.array([self.value(x) for x in X])
 
     def grad(self, x) -> np.ndarray:
@@ -278,24 +263,22 @@ class NormSpec:
         x = np.asarray(x, dtype=float)
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_value_grad(self.domain, self.k, self.p, x)[1]
+        if self.kind == "dual_sobolev":
+            if self.p != 2.0:
+                raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
+            return sobolev_grid.negative_sobolev_value_grad(self.domain, self.k, x)[1]
         val = self.value(x)
         if val == 0.0:
             return np.zeros_like(x)
-        if self.kind == "lp":
-            if self.p == 1.0:
-                return self.weights * np.sign(x)
-            g = self.weights * np.abs(x) ** (self.p - 1.0) * np.sign(x)
-            return g * val ** (1.0 - self.p)
-        if self.p == 2.0:
-            w = self.domain.cell_measure
-            lu = sobolev_grid._sobolev_stiffness_factor(self.domain, self.k)
-            return w * lu.solve(x) / val
-        raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
+        if self.p == 1.0:
+            return self.weights * np.sign(x)
+        g = self.weights * np.abs(x) ** (self.p - 1.0) * np.sign(x)
+        return g * val ** (1.0 - self.p)
 
-    def _sampled_norm_checks(self, samples: int = 6):
+    def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)
         scale_tol = 1e-8
-        for _ in range(samples):
+        for _ in range(_NORM_CHECK_SAMPLES):
             x = rng.standard_normal(self.dim)
             y = rng.standard_normal(self.dim)
             nx, ny = self.value(x), self.value(y)
@@ -334,14 +317,17 @@ class OrderedSpaceSpec:
 # Lattice oracles
 # ---------------------------------------------------------------------------
 
-def supremum_oracle(space: OrderedSpaceSpec, x, y, *, directions: int = 64,
-                    seed: int = 0, agree_tol: float = 1e-8):
+_SUP_DIRECTIONS = 64     # random dual-cone objectives per supremum query
+_SUP_AGREE_TOL = 1e-8    # largest spread of their minimizers that still agrees
+
+
+def supremum_oracle(space: OrderedSpaceSpec, x, y, *, seed: int = 0):
     """Supremum of x and y, or None when minimal upper bounds disagree.
 
     Componentwise max for the standard cone.  For a general polyhedral cone,
     minimizes random dual-cone objectives over the set of common upper
     bounds {s : A s >= max(Ax, Ay)}; a unique answer across all directions
-    is returned, disagreement beyond ``agree_tol`` yields None.  Every such
+    is returned, disagreement beyond ``_SUP_AGREE_TOL`` yields None.  Every such
     objective is positive on the recession cone (the cone itself), so each
     minimum sits at a vertex: the vertices are enumerated once and each
     direction takes its minimizer among them.
@@ -356,10 +342,10 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, directions: int = 64,
     V = _vertices(A, np.maximum(A @ x, A @ y), np.full(len(A), np.inf))
     if not len(V):
         raise RuntimeError("the set of common upper bounds has no vertex")
-    lam = np.random.default_rng(seed).uniform(0.1, 1.0, size=(directions, len(A)))
+    lam = np.random.default_rng(seed).uniform(0.1, 1.0, size=(_SUP_DIRECTIONS, len(A)))
     minimizers = V[np.argmin(V @ (lam @ A).T, axis=0)]
     spread = np.max(minimizers.max(axis=0) - minimizers.min(axis=0))
-    if spread > agree_tol:
+    if spread > _SUP_AGREE_TOL:
         return None
     s = minimizers.mean(axis=0)
     if not (space.cone.contains(s - x, tol=1e-7) and space.cone.contains(s - y, tol=1e-7)):
@@ -406,7 +392,7 @@ class FaceReport:
 
 
 def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512,
-            seed: int = 0, tol: float = LP_TOL) -> FaceReport:
+            seed: int = 0) -> FaceReport:
     """Sampled face test: search for 0 <= z <= g with g generated, z outside.
 
     Sound on the sampled set; the search picks order-interval extreme points
@@ -456,9 +442,9 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
             break
         for z in itertools.islice(candidates_for(y), per_y):
             checked += 1
-            if np.linalg.norm(z) <= tol:
+            if np.linalg.norm(z) <= LP_TOL:
                 continue
-            if not in_generated_cone(G, z, tol=tol):
+            if not in_generated_cone(G, z):
                 return FaceReport(False, (z, np.asarray(y)), checked)
             if checked >= sample_size:
                 break

@@ -264,12 +264,25 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
         raise ValueError("negative order requires k >= 1")
     _check_grid_order(g.domain, k)
     _check_p(p)
-    w = g.domain.cell_measure
     if p == 2.0:
-        u = _sobolev_stiffness_factor(g.domain, k).solve(g.values)
-        val = w * float(u @ g.values)
-        return math.sqrt(max(val, 0.0))
+        return negative_sobolev_value_grad(g.domain, k, g.values)[0]
     return _negative_norm_ascent(g, k, p)
+
+
+def negative_sobolev_norms(domain: GridDomain, k: int, X: np.ndarray) -> np.ndarray:
+    """W^{-k,2} norms sqrt(w x^T K^{-1} x) of the columns x of X, K = S^T S."""
+    U = _sobolev_stiffness_factor(domain, k).solve(X)
+    return np.sqrt(np.maximum(domain.cell_measure * np.sum(U * X, axis=0), 0.0))
+
+
+def negative_sobolev_value_grad(domain: GridDomain, k: int, g: np.ndarray):
+    """W^{-k,2} norm of g and its gradient w K^{-1} g / norm (0 at 0), one solve."""
+    w = domain.cell_measure
+    u = _sobolev_stiffness_factor(domain, k).solve(g)
+    val = math.sqrt(max(w * float(u @ g), 0.0))
+    if val == 0.0:
+        return val, np.zeros_like(g)
+    return val, w * u / val
 
 
 def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:

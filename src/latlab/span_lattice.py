@@ -169,21 +169,23 @@ class RenormBoundsReport:
     passed: bool
 
 
-def renorm_bounds_check(space: OrderedSpaceSpec, x, M: float, C: float,
-                        tol: float = 1e-9) -> RenormBoundsReport:
+_RENORM_BOUNDS_TOL = 1e-9  # relative slack allowed to each bound
+
+
+def renorm_bounds_check(base: float, renorm: float, M: float, C: float) -> RenormBoundsReport:
     """Check ||x|| <= 2M |||x||| and |||x||| <= 2 M^2 C ||x|| with slack.
 
-    M and C must be valid bounds for the normality and decomposition
-    constants on the tested set.
+    ``base`` is ||x|| and ``renorm`` is |||x|||, the value of
+    ``renorm_value``.  M and C must be valid bounds for the normality and
+    decomposition constants on the tested set.
     """
-    base = space.norm.value(np.asarray(x, dtype=float))
-    tri = renorm_value(space, x).value
-    low = 2.0 * M * tri
+    low = 2.0 * M * renorm
     high = 2.0 * M * M * C * base
     slack_low = low - base
-    slack_high = high - tri
-    passed = slack_low >= -tol * (1.0 + low) and slack_high >= -tol * (1.0 + high)
-    return RenormBoundsReport(base, tri, low, high, slack_low, slack_high, passed)
+    slack_high = high - renorm
+    passed = (slack_low >= -_RENORM_BOUNDS_TOL * (1.0 + low)
+              and slack_high >= -_RENORM_BOUNDS_TOL * (1.0 + high))
+    return RenormBoundsReport(base, renorm, low, high, slack_low, slack_high, passed)
 
 
 # ---------------------------------------------------------------------------

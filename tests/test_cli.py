@@ -33,6 +33,21 @@ def test_shipped_config_exit_code(config, tmp_path):
     assert _run_config(config, tmp_path) == expected
 
 
+# the CSV columns between case and status, per experiment
+_COLUMNS = {
+    "sup-construct": ["domain", "grid_n", "scheme", "tol", "seed", "gap"],
+    "sup-construct-dual": ["domain", "grid_n", "scheme", "tol", "seed", "gap"],
+    "normality-scan": ["eps", "h", "k", "p", "seed", "ratio", "growth"],
+    "mollifier-rate": ["grid_n", "delta", "seed", "err_inf", "order"],
+    "boundary-chart-audit": ["domain", "chart", "samples", "seed", "violations"],
+    "pushin-audit": ["domain", "grid_n", "n", "seed", "outside_max", "min_positive_image"],
+    "prop35-demo": ["k", "grid_n", "seed", "min_g", "min_g_minus_f", "endpoint_resid"],
+    "extrapolation-demo": ["seed", "value"],
+    "renorm-audit": ["space", "dim", "M", "C", "seed", "base_norm", "renorm", "slack_low",
+                     "slack_high"],
+}
+
+
 @pytest.mark.parametrize("config", PASS_CONFIGS, ids=lambda p: p.stem)
 def test_rerun_writes_identical_csv(config, tmp_path):
     reports = []
@@ -41,6 +56,9 @@ def test_rerun_writes_identical_csv(config, tmp_path):
         (csv_path,) = out.glob("*.csv")
         reports.append(csv_path.read_bytes())
     assert reports[0] == reports[1]
+    header = reports[0].decode().splitlines()[1].split(",")
+    experiment = config.stem.rpartition("-")[0]
+    assert header == ["case", *_COLUMNS[experiment], "status", "witness"]
 
 
 @pytest.mark.parametrize("experiment", ["sup-construct", "sup-construct-dual"])

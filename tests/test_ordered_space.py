@@ -78,9 +78,6 @@ class TestPointedness:
         with pytest.raises(DegenerateConeError):
             PolyhedralCone(2, np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
-    def test_wedge_constructor_skips_check(self):
-        PolyhedralCone.wedge(np.array([[1.0, 0.0]]))
-
 
 # ---------------------------------------------------------------------------
 # duality
@@ -111,10 +108,6 @@ class TestDualCone:
         gens = cone_generators(dual)
         for g in gens:
             assert in_generated_cone(np.array([[1.0, 0.0], [1.0, 1.0]]), g)
-
-    def test_halfspace_wedge_errors(self):
-        with pytest.raises(DegenerateConeError):
-            dual_cone(PolyhedralCone.wedge(np.array([[1.0, 0.0]])))
 
     @pytest.mark.parametrize("cone_factory", [
         lambda: PolyhedralCone.standard(3),
@@ -297,7 +290,8 @@ class TestDecompositionConstant:
     def test_zero_sample_is_skipped(self):
         space = l2_space(2)
         with_zero = estimate_renorm_constants(space, [np.zeros(2), np.ones(2)])
-        assert with_zero == estimate_renorm_constants(space, [np.ones(2)])
+        assert with_zero[:2] == estimate_renorm_constants(space, [np.ones(2)])[:2]
+        assert with_zero[2][0] == (0.0, 0.0)
         with pytest.raises(ValueError, match="all samples were zero"):
             estimate_renorm_constants(space, [np.zeros(2)])
 
@@ -348,8 +342,6 @@ class TestIsFace:
         A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         with pytest.raises(DegenerateConeError):
             PolyhedralCone(3, A)
-        with pytest.raises(DegenerateConeError):
-            is_face(np.array([[0.0, 0.0, 1.0]]), PolyhedralCone.wedge(A))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_every_coordinate_subcone_exhaustively(self, dim):

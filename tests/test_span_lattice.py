@@ -298,13 +298,15 @@ class TestRenormBounds:
         space = l2_space(4)
         rng = np.random.default_rng(7)
         for _ in range(10):
-            rep = renorm_bounds_check(space, rng.standard_normal(4), 1.0, 1.0)
+            x = rng.standard_normal(4)
+            rep = renorm_bounds_check(space.norm.value(x), renorm_value(space, x).value, 1.0, 1.0)
             assert rep.passed
             assert rep.renorm == pytest.approx(rep.base_norm, rel=1e-12)
 
     def test_positive_vector_first_bound_trivial(self):
         space = l2_space(3)
-        rep = renorm_bounds_check(space, np.array([1.0, 2.0, 3.0]), 1.0, 1.0)
+        x = np.array([1.0, 2.0, 3.0])
+        rep = renorm_bounds_check(space.norm.value(x), renorm_value(space, x).value, 1.0, 1.0)
         assert rep.passed and rep.slack_low >= rep.base_norm - 1e-12
 
     def test_sobolev_with_estimated_constants(self):
@@ -313,9 +315,10 @@ class TestRenormBounds:
         space = OrderedSpaceSpec.standard_sobolev(domain, 1, 2.0)
         rng = np.random.default_rng(8)
         xs = [rng.standard_normal(8) for _ in range(15)]
-        M, C = estimate_renorm_constants(space, xs)
-        for x in xs:
-            assert renorm_bounds_check(space, x, 1.05 * M, 1.05 * C).passed
+        M, C, norms = estimate_renorm_constants(space, xs)
+        assert norms == [(space.norm.value(x), renorm_value(space, x).value) for x in xs]
+        for base, renorm in norms:
+            assert renorm_bounds_check(base, renorm, 1.05 * M, 1.05 * C).passed
 
 
 # ---------------------------------------------------------------------------
