@@ -417,3 +417,10 @@ class TestNormSpec:
                        for e in np.eye(spec.dim)])
         assert np.allclose(spec.grad(x), fd, rtol=1e-6, atol=1e-8)
         assert np.array_equal(spec.grad(np.zeros(spec.dim)), np.zeros(spec.dim))
+
+    def test_dual_grad_needs_p_two(self):
+        spec = NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 3.0)
+        x = np.random.default_rng(5).standard_normal(spec.dim)
+        for point in (x, np.zeros(spec.dim)):
+            with pytest.raises(NotImplementedError, match="p = 2"):
+                spec.grad(point)

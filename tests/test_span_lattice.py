@@ -309,6 +309,15 @@ class TestRenormBounds:
         rep = renorm_bounds_check(space.norm.value(x), renorm_value(space, x).value, 1.0, 1.0)
         assert rep.passed and rep.slack_low >= rep.base_norm - 1e-12
 
+    def test_too_small_constants_fail(self):
+        space = l2_space(2)
+        x = np.array([1.0, -1.0])
+        base, renorm = space.norm.value(x), renorm_value(space, x).value
+        low = renorm_bounds_check(base, renorm, 0.25, 16.0)
+        assert not low.passed and low.slack_low < 0 <= low.slack_high
+        high = renorm_bounds_check(base, renorm, 1.0, 0.25)
+        assert not high.passed and high.slack_high < 0 <= high.slack_low
+
     def test_sobolev_with_estimated_constants(self):
         from latlab.cli import estimate_renorm_constants
         domain = GridDomain.interval(0.0, 1.0, 8)
