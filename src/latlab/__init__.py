@@ -19,11 +19,11 @@ from .sobolev_grid import (
     GridDomain,
     GridFunction,
     Mollifier,
+    PushinOperator,
     build_boundary_chart,
     mollify,
     negative_sobolev_norm,
     positive_dominant_w0,
-    pushin_operator,
     sobolev_norm,
 )
 from .span_lattice import (

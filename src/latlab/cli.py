@@ -51,10 +51,10 @@ from .sobolev_grid import (
     GridDomain,
     GridFunction,
     GridTooCoarseError,
+    PushinOperator,
     default_chart_cover,
     mollify,
     positive_dominant_w0,
-    pushin_operator,
 )
 from .span_lattice import (
     constructive_sup,
@@ -139,12 +139,14 @@ def _build_scheme(family: str, domain: GridDomain, seed: int):
     raise UsageError(f"unknown scheme family {family!r}")
 
 
-def _sup_gaps(compute, Z: np.ndarray) -> list[tuple[float, str]]:
-    """Gap max|s - |z|| of each column z of Z, and its non-convergence witness.
+def _sup_verdicts(compute, Z: np.ndarray, threshold: float) -> list[tuple[float, bool, str]]:
+    """Gap max|s - |z||, verdict and witness of each column z of Z.
 
     ``compute()`` is the supremum of the batch Z.  Its ConvergenceError names
-    the failed columns; each gets a witness holding its message and Cauchy
-    increments.  Gaps are taken at the best iterates, NaN without one.
+    the failed columns; each fails with a witness holding its message and
+    Cauchy increments.  Gaps are taken at the best iterates, NaN without one.
+    A converged column fails when its gap exceeds ``threshold``, with a
+    witness naming both.
     """
     try:
         S, failed = compute(), {}
@@ -153,8 +155,9 @@ def _sup_gaps(compute, Z: np.ndarray) -> list[tuple[float, str]]:
     out = []
     for j in range(Z.shape[1]):
         gap = float("nan") if S is None else float(np.max(np.abs(S[:, j] - np.abs(Z[:, j]))))
-        error = json.dumps(failed[j], separators=(",", ":")) if j in failed else ""
-        out.append((gap, error))
+        ok = j not in failed and gap <= threshold
+        witness = failed.get(j) or ({} if ok else {"gap": gap, "gap_threshold": threshold})
+        out.append((gap, ok, json.dumps(witness, separators=(",", ":")) if witness else ""))
     return out
 
 
@@ -168,20 +171,18 @@ def _run_sup_construct(cfg: dict, sup) -> list[ReportRow]:
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
     scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
     tol = cfg["scheme"]["tol"]
-    threshold = cfg["gap_threshold"]
     rng = np.random.default_rng(cfg["seed"])
     t_ax = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
     Z = np.column_stack([_trig_profile(rng, t_ax, cfg["curvature"])
                          for _ in range(cfg["samples"])])
     rows = []
-    for i, (gap, error) in enumerate(_sup_gaps(lambda: sup(scheme, Z, tol), Z)):
-        ok = not error and gap <= threshold
+    verdicts = _sup_verdicts(lambda: sup(scheme, Z, tol), Z, cfg["gap_threshold"])
+    for i, (gap, ok, witness) in enumerate(verdicts):
         rows.append(ReportRow(
             f"z{i:03d}",
             params={"domain": kind, "grid_n": n, "scheme": cfg["scheme"]["family"],
                     "tol": tol, "seed": cfg["seed"]},
-            values={"gap": gap}, ok=ok,
-            witness=error or ("" if ok else json.dumps(list(Z[:, i]), separators=(",", ":"))),
+            values={"gap": gap}, ok=ok, witness=witness,
         ))
     return rows
 
@@ -191,7 +192,11 @@ def _run_normality_scan(cfg: dict) -> list[ReportRow]:
     divisor = cfg["h_divisor"]
     n = int(math.ceil(divisor / min(eps_list))) + 1
     domain = GridDomain.interval(0.0, 1.0, n)
-    space = OrderedSpaceSpec.standard_sobolev(domain, cfg["order"]["k"], cfg["order"]["p"])
+    try:
+        space = OrderedSpaceSpec.standard_sobolev(domain, cfg["order"]["k"], cfg["order"]["p"])
+    except ValueError as exc:
+        raise UsageError(f"order.k = {cfg['order']['k']} does not fit the grid that "
+                         f"eps = {eps_list!r} and h_divisor = {divisor} give: {exc}") from exc
     t = domain.axis(0)
     rows, prev = [], None
     for eps in eps_list:
@@ -288,7 +293,7 @@ def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
         # on 1-D domains the L^p error of S_n f - f for a smooth f must fall with n
         smooth, errs = np.sin(np.pi * domain.axis(0)), []
         for n in ns:
-            op = pushin_operator(domain, n)
+            op = PushinOperator(domain, n)
             if domain.d == 1:
                 diff = GridFunction(domain, op.matrix @ smooth - smooth)
                 errs.append(sobolev_grid.sobolev_norm(diff, 0, cfg["order"]["p"]))
@@ -339,7 +344,11 @@ def _run_prop35_demo(cfg: dict) -> list[ReportRow]:
     for k in cfg["orders"]:
         for i in range(cfg["samples"]):
             f = GridFunction(domain, _w0_sample(rng, t, k))
-            g = positive_dominant_w0(f, k)
+            try:
+                g = positive_dominant_w0(f, k)
+            except ValueError as exc:
+                raise UsageError(f"orders entry {k} does not fit domain.n = "
+                                 f"{domain.n}: {exc}") from exc
             min_g = float(np.min(g.values))
             min_dom = float(np.min(g.values - f.values))
             resid = 0.0
@@ -389,14 +398,14 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     add("resolvent-identity", resid, resid <= 1e-9)
 
     base = OrderedSpaceSpec.standard_lp(np.full(n, domain.cell_measure), cfg["order"]["p"])
-    space = ExtrapolationSpace.build(base, gen, lam=1.0)
+    space = ExtrapolationSpace(base, gen, lam=1.0)
     t = np.linspace(0.0, 1.0, n)
     z = _trig_profile(rng, t, curvature=40.0)
     Z = z[:, None]
-    ((gap, error),) = _sup_gaps(
-        lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z)
-    ok = not error and gap <= cfg["gap_threshold"]
-    add("theorem41-sup-gap", gap, ok, error or ("" if ok else json.dumps(list(z))))
+    ((gap, ok, witness),) = _sup_verdicts(
+        lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z,
+        cfg["gap_threshold"])
+    add("theorem41-sup-gap", gap, ok, witness)
 
     # desk-scale caveat, reported so the collapse is never mistaken for the
     # infinite-dimensional phenomenon
@@ -555,6 +564,8 @@ _EXPERIMENTS: dict[str, dict] = {
 _RANGES = {
     "seed": (lambda v: v >= 0, "seed must be a nonnegative integer, got {!r}"),
     "samples": (lambda v: v >= 1, "samples must be a positive integer, got {!r}"),
+    "chart_samples": (lambda v: v >= 1,
+                      "chart_samples must be a positive integer, got {!r}"),
     "scheme.tol": (lambda v: 1e-12 <= v <= 1e-2,
                    "scheme.tol = {:g} outside the allowed range [1e-12, 1e-2]"),
     "domain.n": (lambda v: v >= 4,

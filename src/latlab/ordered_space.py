@@ -92,13 +92,6 @@ def cone_generators(cone: PolyhedralCone) -> np.ndarray:
     """
     A = cone.ineq
     m, d = A.shape
-    if d == 1:
-        signs = np.sign(A[:, 0])
-        if np.all(signs > 0):
-            return np.array([[1.0]])
-        if np.all(signs < 0):
-            return np.array([[-1.0]])
-        raise DegenerateConeError("one-dimensional system pins the origin")
     rays = []
     for rows in itertools.combinations(range(m), d - 1):
         sub = A[list(rows)]

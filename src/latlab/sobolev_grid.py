@@ -131,9 +131,6 @@ class GridFunction:
                 f"expected {self.domain.node_count} values, got {self.values.size}"
             )
 
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.domain, values)
-
 
 # ---------------------------------------------------------------------------
 # Difference operators and Sobolev norms
@@ -388,7 +385,7 @@ def mollify(f: GridFunction, delta: float) -> GridFunction:
     out = f.values.reshape((dom.n,) * dom.d)
     for axis in range(dom.d):
         out = scipy.ndimage.convolve1d(out, w, axis=axis, mode=mode, cval=0.0)
-    return f.copy_with(out)
+    return GridFunction(dom, out)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +583,8 @@ class PushinOperator:
     S_n f = sum over charts of (f * h_chart) pulled back through the chart's
     inverse affine map, with linear interpolation at off-grid points.  S_n f
     is identically zero at every node outside the compact union K_n of the
-    chart image boxes.
+    chart image boxes.  The charts are the default cover, and ``matrix`` is
+    S_n in CSR form, applied to the node values of f.
     """
 
     def __init__(self, domain: GridDomain, n: int):
@@ -665,11 +663,6 @@ class PushinOperator:
         )
         return M.tocsr()
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.domain != self.domain:
-            raise ValueError("grid function lives on a different domain")
-        return f.copy_with(self.matrix @ f.values)
-
     def node_in_k(self, pts: np.ndarray) -> np.ndarray:
         """Membership in the compact union K_n of closed chart image boxes."""
         pts = np.atleast_2d(pts)
@@ -677,11 +670,6 @@ class PushinOperator:
         for lo, hi in self.k_boxes:
             inside |= np.all((pts >= lo) & (pts <= hi), axis=1)
         return inside
-
-
-def pushin_operator(domain: GridDomain, n: int) -> PushinOperator:
-    """Build the push-in operator S_n with the default chart cover."""
-    return PushinOperator(domain, n)
 
 
 # ---------------------------------------------------------------------------
@@ -743,4 +731,4 @@ def positive_dominant_w0(f: GridFunction, k: int) -> GridFunction:
     a, b = f.domain.lo[0], f.domain.hi[0]
     t = (f.domain.axis(0) - a) / (b - a)
     g = _cutoff_left(t) * f0 + _cutoff_right(t) * f1
-    return f.copy_with(g)
+    return GridFunction(f.domain, g)

@@ -96,8 +96,6 @@ def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
 # ---------------------------------------------------------------------------
 
 RENORM_EXACT_MAX_DIM = 16  # vertex enumeration cutoff (2^16 vertices)
-_RENORM_ASCENT_STARTS = 32  # random vertex starts of the coordinate ascent
-_RENORM_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,9 @@ class RenormResult:
     """Maximum of the norm over [0, |x|]; ``exact`` marks an exact maximum.
 
     Exact values come from the closed form ||(|x|)|| of a norm certified
-    monotone on the cone, or from vertex enumeration.  Inexact values are
-    certified lower bounds from coordinate ascent.
+    monotone on the cone, or from vertex enumeration.  The refusal above
+    the enumeration cutoff carries an inexact one, the certified lower
+    bound ||(|x|)||.
     """
 
     value: float
@@ -120,8 +119,10 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     For a norm certified monotone on the cone (``NormSpec.monotone``) the
     maximum is ||(|x|)||, attained at the top vertex |x|, at every
     dimension.  Otherwise it is exact for dim <= 16 by enumerating the box
-    vertices (the norm is convex, so the maximum sits at a vertex); above
-    that, a coordinate-ascent lower bound flagged exact=False.
+    vertices (the norm is convex, so the maximum sits at a vertex).  Above
+    that a ConvergenceError refuses: its ``best`` is the inexact
+    RenormResult at |x| and ``diagnostics["bracket"]`` holds the certified
+    bounds (||(|x|)||, sum_j |x_j| ||e_j||) of the maximum.
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
@@ -138,24 +139,12 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
         vals = norm.value_many(masks * ax)
         i = int(np.argmax(vals))
         return RenormResult(float(vals[i]), True, masks[i] * ax)
-    rng = np.random.default_rng(_RENORM_SEED)
-    best_val, best_w = -math.inf, None
-    for _ in range(_RENORM_ASCENT_STARTS):
-        mask = rng.integers(0, 2, size=d).astype(float)
-        val = norm.value(mask * ax)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(d):
-                flipped = mask.copy()
-                flipped[i] = 1.0 - flipped[i]
-                v = norm.value(flipped * ax)
-                if v > val + 1e-15:
-                    mask, val = flipped, v
-                    improved = True
-        if val > best_val:
-            best_val, best_w = val, mask * ax
-    return RenormResult(float(best_val), False, best_w)
+    low, high = norm.value(ax), float(norm.value_many(np.eye(d)) @ ax)
+    raise ConvergenceError(
+        f"renorm of a norm not certified monotone is exact only up to dim "
+        f"{RENORM_EXACT_MAX_DIM}, got {d}; bracket [{low:.6g}, {high:.6g}]",
+        best=RenormResult(low, False, ax), diagnostics={"bracket": (low, high)},
+    )
 
 
 @dataclass(frozen=True)
@@ -312,10 +301,9 @@ def _checked_sup(apply_r, indices, z, tol, bound_message):
     """Sweep the columns of z, shape (N,) or (N, m), and check s >= |z|.
 
     A column fails if the index range runs out before its Cauchy window
-    holds, or if its limit misses |z| by more than tol.  For 1-D input the
-    ConvergenceError carries the column's message, its best iterate and
-    ``diagnostics["increments"]``.  For a batch one ConvergenceError names
-    every failed column; ``best`` holds the last iterate of every column and
+    holds, or if its limit misses |z| by more than tol.  One vector is the
+    batch of its one column.  One ConvergenceError names every failed
+    column; ``best`` holds the last iterates, 1-D for 1-D input, and
     ``diagnostics["columns"][j]`` the ``error`` and ``increments`` of each
     failed column j.
     """
@@ -332,12 +320,8 @@ def _checked_sup(apply_r, indices, z, tol, bound_message):
         gap = float(np.max(np.abs(Z[:, j]) - S[:, j]))
         if gap > tol + 1e-12:
             failed[j] = bound_message(gap)
-    if z.ndim == 1:
-        s = None if S is None else S[:, 0]
-        if failed:
-            raise ConvergenceError(failed[0], best=s,
-                                   diagnostics={"increments": increments[0]})
-        return s
+    if S is not None and z.ndim == 1:
+        S = S[:, 0]
     if failed:
         raise ConvergenceError(
             "; ".join(f"column {j}: {msg}" for j, msg in failed.items()), best=S,

@@ -96,6 +96,34 @@ def test_nonconvergence_is_a_fail_row(experiment, tmp_path):
         assert float(row["gap"]) > 0.0
 
 
+def test_gap_above_threshold_is_a_fail_row_naming_the_gap(tmp_path):
+    # 640 nodes at the default tol: every Cauchy window closes while the gap
+    # still exceeds gap_threshold
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "sup-construct",
+                                  "domain": {"kind": "interval", "n": 640},
+                                  "scheme": {"family": "resolvent-neumann"}}))
+    out = tmp_path / "out"
+    assert main(["sup-construct", "--config", str(config), "--out", str(out)]) == 1
+    (csv_path,) = out.glob("*.csv")
+    rows = _rows(csv_path)
+    assert [row["status"] for row in rows] == ["FAIL"] * 10
+    for row in rows:
+        witness = json.loads(row["witness"])
+        assert witness == {"gap": float(row["gap"]), "gap_threshold": 1e-5}
+        assert witness["gap"] > witness["gap_threshold"]
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_defaults_pass(experiment, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    (csv_path,) = out.glob("*.csv")
+    assert {row["status"] for row in _rows(csv_path)} == {"PASS"}
+
+
 def test_extrapolation_demo_nonconvergence_is_a_fail_row(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "extrapolation-demo",
@@ -264,11 +292,21 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("mollifier-rate", {"deltas": [0.1, 0.1]}, "config field deltas repeats the entry 0.1"),
     ("normality-scan", {"eps": [0.1, 0.1]}, "config field eps repeats the entry 0.1"),
     ("pushin-audit", {"ns": [2, 4, 2]}, "config field ns repeats the entry 2"),
+    ("boundary-chart-audit", {"chart_samples": -1}, "chart_samples must be a positive"),
+    ("boundary-chart-audit", {"chart_samples": 0}, "chart_samples must be a positive"),
+    ("normality-scan", {"eps": [1.0], "h_divisor": 3, "order": {"k": 3}},
+     "order.k = 3 does not fit the grid that eps = [1.0] and h_divisor = 3 give"),
+    ("prop35-demo", {"orders": [300]}, "orders entry 300 does not fit domain.n = 257"),
+    ("prop35-demo", {"domain": {"n": 32}, "orders": [2]},
+     "orders entry 2 does not fit domain.n = 32"),
+    ("prop35-demo", {"domain": {"n": 4}}, "orders entry 2 does not fit domain.n = 4"),
 ], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
         "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
         "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid",
         "repeated-space", "repeated-chart-domain", "repeated-pushin-domain",
-        "repeated-order", "repeated-delta", "repeated-eps", "repeated-index"])
+        "repeated-order", "repeated-delta", "repeated-eps", "repeated-index",
+        "chart-samples-negative", "chart-samples-zero", "order-k-above-scan-grid",
+        "order-above-grid", "w0-sample-on-coarse-grid", "w0-sample-on-4-nodes"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

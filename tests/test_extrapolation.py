@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,7 +217,7 @@ class TestResolventOperator:
     def test_matches_dense_solve_and_stays_positive(self, gen):
         N = gen.dim
         I = np.eye(N)
-        scheme = resolvent_scheme(gen, n_max=2 ** 20)
+        scheme = dataclasses.replace(resolvent_scheme(gen), n_max=2 ** 20)
         for n in scheme.indices():
             R = scheme.R(n)
             M = R @ I
@@ -278,9 +279,9 @@ class TestResolventOperator:
 
 class TestExtrapolationNorm:
     def test_zero(self):
-        space = ExtrapolationSpace.build(
+        space = ExtrapolationSpace(
             OrderedSpaceSpec.standard_lp(np.ones(4), 2.0),
-            multiplication_generator(np.arange(4.0)))
+            multiplication_generator(np.arange(4.0)), lam=1.5)
         assert extrapolation_norm(space, np.zeros(4)) == 0.0
 
     def test_multiplication_closed_form(self):
@@ -292,8 +293,8 @@ class TestExtrapolationNorm:
 
     def test_rows_match_single_vectors(self):
         dom = GridDomain.interval(0.0, 1.0, 16)
-        space = ExtrapolationSpace.build(grid_space(dom, p=3.0),
-                                         neumann_laplacian_1d(16, dom.h))
+        space = ExtrapolationSpace(grid_space(dom, p=3.0),
+                                   neumann_laplacian_1d(16, dom.h), lam=1.5)
         X = np.random.default_rng(7).standard_normal((5, 16))
         assert np.allclose(extrapolation_norm(space, X),
                            [extrapolation_norm(space, x) for x in X], rtol=1e-14, atol=0)
@@ -320,8 +321,8 @@ class TestExtrapolationCone:
     def test_membership_matches_componentwise_sign(self):
         for gen in (multiplication_generator(np.linspace(0, 3, 8)),
                     neumann_laplacian_1d(8, 1.0 / 7.0)):
-            space = ExtrapolationSpace.build(
-                OrderedSpaceSpec.standard_lp(np.ones(8), 2.0), gen)
+            space = ExtrapolationSpace(
+                OrderedSpaceSpec.standard_lp(np.ones(8), 2.0), gen, lam=1.5)
             rng = np.random.default_rng(1)
             agree = 0
             for _ in range(1000):
@@ -332,8 +333,8 @@ class TestExtrapolationCone:
             assert agree == 1000
 
     def test_rows_match_single_vectors(self):
-        space = ExtrapolationSpace.build(OrderedSpaceSpec.standard_lp(np.ones(8), 2.0),
-                                         neumann_laplacian_1d(8, 1.0 / 7.0))
+        space = ExtrapolationSpace(OrderedSpaceSpec.standard_lp(np.ones(8), 2.0),
+                                   neumann_laplacian_1d(8, 1.0 / 7.0), lam=1.5)
         X = np.random.default_rng(8).standard_normal((40, 8))
         X[::2] = np.abs(X[::2])
         inside = space.in_extrapolation_cone(X)
@@ -349,14 +350,14 @@ class TestExtrapolationCone:
 class TestResolventScheme:
     def test_approximants_positive(self):
         gen = neumann_laplacian_1d(16, 1.0 / 15.0)
-        scheme = resolvent_scheme(gen, n_max=64)
+        scheme = dataclasses.replace(resolvent_scheme(gen), n_max=64)
         for n in scheme.indices():
             assert np.min(scheme.R(n) @ np.eye(16)) >= 0.0
 
     def test_convergence_envelope(self):
         dom = GridDomain.interval(0.0, 1.0, 32)
         gen = neumann_laplacian_1d(32, dom.h)
-        scheme = resolvent_scheme(gen, n_max=256)
+        scheme = dataclasses.replace(resolvent_scheme(gen), n_max=256)
         space = grid_space(dom)
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -368,7 +369,7 @@ class TestResolventScheme:
     def test_theorem41_positive_vector(self):
         dom = GridDomain.interval(0.0, 1.0, 32)
         gen = neumann_laplacian_1d(32, dom.h)
-        space = ExtrapolationSpace.build(grid_space(dom), gen)
+        space = ExtrapolationSpace(grid_space(dom), gen, lam=1.5)
         z = np.abs(np.sin(2 * np.pi * dom.axis(0))) + 0.5
         s = theorem41_sup(space, z, tol=1e-6)
         assert np.max(np.abs(s - z)) <= 1e-5
@@ -376,7 +377,7 @@ class TestResolventScheme:
     def test_theorem41_matches_modulus_neumann(self):
         dom = GridDomain.interval(0.0, 1.0, 64)
         gen = neumann_laplacian_1d(64, dom.h)
-        space = ExtrapolationSpace.build(grid_space(dom), gen)
+        space = ExtrapolationSpace(grid_space(dom), gen, lam=1.5)
         z = np.sin(2 * np.pi * dom.axis(0))
         s = theorem41_sup(space, z, tol=1e-6)
         assert np.max(np.abs(s - np.abs(z))) <= 1e-6
@@ -384,8 +385,8 @@ class TestResolventScheme:
     def test_theorem41_matches_modulus_multiplication(self):
         m = np.linspace(0.0, 3.0, 16)
         gen = multiplication_generator(m)
-        space = ExtrapolationSpace.build(
-            OrderedSpaceSpec.standard_lp(np.ones(16), 2.0), gen)
+        space = ExtrapolationSpace(
+            OrderedSpaceSpec.standard_lp(np.ones(16), 2.0), gen, lam=1.5)
         rng = np.random.default_rng(3)
         z = rng.standard_normal(16)
         tol = 1e-6
@@ -409,15 +410,9 @@ class TestMultiplicationExample:
 
     def test_weighted_measure(self):
         rng = np.random.default_rng(5)
-        rep = multiplication_example_check(
-            rng.uniform(0, 4, size=6), p=3.0, mu_weights=rng.uniform(0.5, 2, size=6))
+        rep = multiplication_example_check(rng.uniform(0, 4, size=6), p=3.0)
         assert rep.passed
 
     def test_semigroup_entrywise_nonnegative(self):
         rep = multiplication_example_check(np.array([0.0, 2.0, 5.0]))
         assert rep.semigroup_min_entry >= -1e-12
-
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            multiplication_example_check(np.ones(3), mu_weights=np.array([1.0, 0.0, 1.0]))
-

@@ -284,13 +284,17 @@ class TestRenormValue:
         domain = GridDomain.interval(0.0, 1.0, 20)
         space = OrderedSpaceSpec.standard_sobolev(domain, 1, 2.0)
         x = np.random.default_rng(0).standard_normal(20)
-        res = renorm_value(space, x)
+        # not certified monotone and above the enumeration cutoff: refused
+        with pytest.raises(ConvergenceError, match="bracket") as exc:
+            renorm_value(space, x)
+        res, (low, high) = exc.value.best, exc.value.diagnostics["bracket"]
         assert not res.exact
-        assert np.all(res.maximizer >= 0) and np.all(res.maximizer <= np.abs(x))
-        assert res.value == space.norm.value(res.maximizer)
+        assert np.array_equal(res.maximizer, np.abs(x))
+        assert res.value == low == space.norm.value(np.abs(x))
         # every w in [0, |x|] is a sum of w_j e_j with w_j <= |x_j|
         bound = sum(abs(xj) * space.norm.value(e) for xj, e in zip(x, np.eye(20)))
-        assert res.value < bound
+        assert high == pytest.approx(bound, rel=1e-12)
+        assert low < high
 
 
 class TestRenormBounds:
@@ -423,7 +427,9 @@ class TestConstructiveSup:
         z = np.sin(2 * np.pi * domain.axis(0))
         with pytest.raises(ConvergenceError) as exc:
             constructive_sup(truncated, z, 1e-9)
-        assert exc.value.diagnostics["increments"]
+        assert exc.value.best.shape == z.shape
+        assert set(exc.value.diagnostics["columns"]) == {0}
+        assert exc.value.diagnostics["columns"][0]["increments"]
 
     @pytest.mark.parametrize("case", [0, 1], ids=["mollifier", "resolvent-neumann"])
     @pytest.mark.parametrize("sup", [constructive_sup, constructive_sup_dual],
@@ -550,8 +556,8 @@ class TestBatchedSweep:
             assert np.array_equal(batch.value.best[:, j], sup(Z[:, j]))
         with pytest.raises(ConvergenceError) as single:
             sup(Z[:, 1])
-        assert failed[1] == {"error": str(single.value),
-                             "increments": single.value.diagnostics["increments"]}
+        assert single.value.diagnostics["columns"] == {0: failed[1]}
+        assert str(single.value) == f"column 0: {failed[1]['error']}"
         assert "did not converge" in failed[1]["error"]
         assert failed[1]["increments"]
         assert np.array_equal(batch.value.best[:, 1], single.value.best)
