@@ -6,12 +6,12 @@ summary, and exits 0 on all-PASS, 1 on any FAIL, 2 on usage errors.
 ``latlab report-merge <csv...> --out <file>`` merges run CSVs into one
 summary, idempotently by run id.
 
-Config rule: each experiment declares its complete config schema, and its
-runner reads every field of it.  A config may set only declared fields, each
-with the JSON type of its default.  A field that is unknown, mistyped or an
-empty list, or a value that fails its range rule, is a usage error that
-names the dotted field.  The range rules are the table ``_RANGES`` and the
-``ranges`` of an experiment's ``_EXPERIMENTS`` entry, which take precedence.
+Config rule: a config chooses cases, sizes, seeds and solver tolerances; what
+PASS means is each experiment's named constants.  A config may set only the
+fields its experiment declares, each with its default's JSON type, and the
+runner reads every one.  An unknown, mistyped or empty-list field, or a value
+that fails a rule of ``_RANGES`` or of the experiment's ``ranges`` (which take
+precedence), is a usage error naming the dotted field, raised before any run.
 """
 
 from __future__ import annotations
@@ -122,30 +122,27 @@ def _trig_profile(rng: np.random.Generator, t: np.ndarray, curvature: float) -> 
     return out
 
 
-def _build_scheme(family: str, domain: GridDomain, seed: int):
-    """The scheme ``family`` on ``domain``; a config it cannot build is a usage error."""
-    try:
-        if family == "mollifier":
-            return mollifier_scheme(domain)
-        if family == "resolvent-neumann":
-            gen = neumann_laplacian_1d(domain.node_count, domain.h)
-            return resolvent_scheme(gen)
-        if family == "resolvent-multiplication":
-            rng = np.random.default_rng(seed + 10_000)
-            m = rng.uniform(0.0, 3.0, size=domain.node_count)
-            return resolvent_scheme(multiplication_generator(m))
-    except ValueError as exc:
-        raise UsageError(f"cannot build scheme {family!r}: {exc}") from exc
-    raise UsageError(f"unknown scheme family {family!r}")
+_SCHEMES = {
+    "mollifier": lambda domain, seed: mollifier_scheme(domain),
+    "resolvent-neumann": lambda domain, seed: resolvent_scheme(
+        neumann_laplacian_1d(domain.node_count, domain.h)),
+    "resolvent-multiplication": lambda domain, seed: resolvent_scheme(multiplication_generator(
+        np.random.default_rng(seed + 10_000).uniform(0.0, 3.0, size=domain.node_count))),
+}
+
+# Theorem 4.1: a converged supremum s = J|R_n z| passes when max|s - |z|| <= this
+_SUP_GAP_MAX = 1e-5
+# curvature budget of the sup profiles, the scale of R_n z - z and so of the gap
+_SUP_CURVATURE = 0.005
 
 
-def _sup_verdicts(compute, Z: np.ndarray, threshold: float) -> list[tuple[float, bool, str]]:
+def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, str]]:
     """Gap max|s - |z||, verdict and witness of each column z of Z.
 
     ``compute()`` is the supremum of the batch Z.  Its ConvergenceError names
     the failed columns; each fails with a witness holding its message and
     Cauchy increments.  Gaps are taken at the best iterates, NaN without one.
-    A converged column fails when its gap exceeds ``threshold``, with a
+    A converged column fails when its gap exceeds ``_SUP_GAP_MAX``, with a
     witness naming both.
     """
     try:
@@ -155,8 +152,8 @@ def _sup_verdicts(compute, Z: np.ndarray, threshold: float) -> list[tuple[float,
     out = []
     for j in range(Z.shape[1]):
         gap = float("nan") if S is None else float(np.max(np.abs(S[:, j] - np.abs(Z[:, j]))))
-        ok = j not in failed and gap <= threshold
-        witness = failed.get(j) or ({} if ok else {"gap": gap, "gap_threshold": threshold})
+        ok = j not in failed and gap <= _SUP_GAP_MAX
+        witness = failed.get(j) or ({} if ok else {"gap": gap, "gap_threshold": _SUP_GAP_MAX})
         out.append((gap, ok, json.dumps(witness, separators=(",", ":")) if witness else ""))
     return out
 
@@ -169,22 +166,30 @@ def _run_sup_construct(cfg: dict, sup) -> list[ReportRow]:
     """Rows of ``sup``, constructive_sup or constructive_sup_dual, on random profiles."""
     kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
     domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
-    scheme = _build_scheme(cfg["scheme"]["family"], domain, cfg["seed"])
+    family = cfg["scheme"]["family"]
+    try:
+        scheme = _SCHEMES[family](domain, cfg["seed"])
+    except ValueError as exc:
+        raise UsageError(f"cannot build scheme {family!r}: {exc}") from exc
     tol = cfg["scheme"]["tol"]
     rng = np.random.default_rng(cfg["seed"])
     t_ax = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
-    Z = np.column_stack([_trig_profile(rng, t_ax, cfg["curvature"])
+    Z = np.column_stack([_trig_profile(rng, t_ax, _SUP_CURVATURE)
                          for _ in range(cfg["samples"])])
     rows = []
-    verdicts = _sup_verdicts(lambda: sup(scheme, Z, tol), Z, cfg["gap_threshold"])
+    verdicts = _sup_verdicts(lambda: sup(scheme, Z, tol), Z)
     for i, (gap, ok, witness) in enumerate(verdicts):
         rows.append(ReportRow(
             f"z{i:03d}",
-            params={"domain": kind, "grid_n": n, "scheme": cfg["scheme"]["family"],
+            params={"domain": kind, "grid_n": n, "scheme": family,
                     "tol": tol, "seed": cfg["seed"]},
             values={"gap": gap}, ok=ok, witness=witness,
         ))
     return rows
+
+
+# W^{1,p} is not normal: halving eps must grow ||x|| / ||y|| by a factor in this range
+_NORMALITY_GROWTH = (1.7, 2.3)
 
 
 def _run_normality_scan(cfg: dict) -> list[ReportRow]:
@@ -202,9 +207,13 @@ def _run_normality_scan(cfg: dict) -> list[ReportRow]:
     for eps in eps_list:
         x = eps * np.sin(np.pi * t / eps) ** 2
         y = np.full_like(t, eps)
-        ratio = normality_constant_lower_bound(space, [(x, y)])
+        try:
+            ratio = normality_constant_lower_bound(space, [(x, y)])
+        except ValueError as exc:
+            raise UsageError(f"order.p = {cfg['order']['p']!r} is too large for the scan: the "
+                             f"norm of y = eps underflows to 0 at eps = {eps:g}") from exc
         growth = ratio / prev if prev is not None else float("nan")
-        ok = prev is None or (cfg["growth_low"] <= growth <= cfg["growth_high"])
+        ok = prev is None or (_NORMALITY_GROWTH[0] <= growth <= _NORMALITY_GROWTH[1])
         rows.append(ReportRow(
             f"eps={eps:g}",
             params={"eps": eps, "h": domain.h, "k": cfg["order"]["k"],
@@ -214,6 +223,10 @@ def _run_normality_scan(cfg: dict) -> list[ReportRow]:
         ))
         prev = ratio
     return rows
+
+
+# an even mollifier errs by O(delta^2) on smooth f: each halving of delta needs order >= this
+_MOLLIFIER_ORDER_MIN = 1.8
 
 
 def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
@@ -228,11 +241,8 @@ def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
                          f"{domain.n}: {exc}") from exc
     rows = []
     for i, (d, e) in enumerate(zip(deltas, errs)):
-        if i == 0:
-            order, ok = float("nan"), True
-        else:
-            order = math.log2(errs[i - 1] / e)
-            ok = order >= cfg["order_min"]
+        order = math.log2(errs[i - 1] / e) if i else float("nan")
+        ok = not i or order >= _MOLLIFIER_ORDER_MIN
         rows.append(ReportRow(
             f"delta={d:g}",
             params={"grid_n": cfg["domain"]["n"], "delta": d, "seed": cfg["seed"]},
@@ -242,24 +252,15 @@ def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
     return rows
 
 
-def _audit_domains(cfg: dict) -> list[GridDomain]:
-    kinds = cfg["domains"]
-    out = []
-    for kind in kinds:
-        if kind == "interval":
-            out.append(GridDomain.interval(0.0, 1.0, cfg["domain"]["n"]))
-        elif kind == "rectangle":
-            out.append(GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, cfg["rect_n"]))
-        else:
-            raise UsageError(f"chart audits run on interval/rectangle, not {kind!r}")
-    return out
+_AUDIT_DOMAINS = {"interval": lambda cfg: GridDomain.interval(0.0, 1.0, cfg["domain"]["n"]),
+                  "rectangle": lambda cfg: GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, cfg["rect_n"])}
 
 
 def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
     ns = tuple(cfg["ns"])
     samples = cfg["chart_samples"]
     rows = []
-    for domain in _audit_domains(cfg):
+    for domain in (_AUDIT_DOMAINS[kind](cfg) for kind in cfg["domains"]):
         charts = default_chart_cover(domain, ns=ns)
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         rng = np.random.default_rng(cfg["seed"] + 1)
@@ -287,7 +288,7 @@ def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
 def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
     ns = tuple(cfg["ns"])
     rows = []
-    for domain in _audit_domains(cfg):
+    for domain in (_AUDIT_DOMAINS[kind](cfg) for kind in cfg["domains"]):
         pts = domain.points()
         rng = np.random.default_rng(cfg["seed"])
         # on 1-D domains the L^p error of S_n f - f for a smooth f must fall with n
@@ -403,8 +404,7 @@ def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
     z = _trig_profile(rng, t, curvature=40.0)
     Z = z[:, None]
     ((gap, ok, witness),) = _sup_verdicts(
-        lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z,
-        cfg["gap_threshold"])
+        lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z)
     add("theorem41-sup-gap", gap, ok, witness)
 
     # desk-scale caveat, reported so the collapse is never mistaken for the
@@ -453,17 +453,18 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
     return normality_constant_lower_bound(space, witnesses), max(span_ratios), norms
 
 
+# M and C are lower bounds taken on the tested samples: the renorm bounds use them times this
+_RENORM_INFLATION = 1.05
+
+
 def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
     rows = []
     rng = np.random.default_rng(cfg["seed"])
-    inflate = cfg["inflation"]
     for name in cfg["spaces"]:
-        if name not in _RENORM_SPACES:
-            raise UsageError(f"unknown renorm-audit space {name!r}")
         space = _RENORM_SPACES[name]()
         xs = [rng.standard_normal(space.dim) for _ in range(cfg["samples"])]
         M, C, norms = estimate_renorm_constants(space, xs)
-        M_i, C_i = inflate * M, inflate * C
+        M_i, C_i = _RENORM_INFLATION * M, _RENORM_INFLATION * C
         for i, (x, (base, ren)) in enumerate(zip(xs, norms)):
             rep = renorm_bounds_check(base, ren, M_i, C_i)
             rows.append(ReportRow(
@@ -487,15 +488,12 @@ _SOBOLEV_RANGES = {
                 "order.p = {!r} outside the allowed range: need a number > 1"),
 }
 
-# "defaults" is each experiment's complete config schema: normalize_config
-# accepts only these fields, each with its default's JSON type, and the
-# runner reads every one of them (tests/test_cli.py checks that it does).
-# The primal and the dual supremum share everything but the runner.
+# "defaults" is each experiment's complete config schema, every field of which its
+# runner reads; the primal and the dual supremum share everything but the runner.
 _SUP = {
     "domain_kinds": ("torus", "interval"),
     "defaults": {"seed": 0, "samples": 10, "domain": {"kind": "torus", "n": 64},
-                 "scheme": {"family": "mollifier", "tol": 4e-5},
-                 "gap_threshold": 1e-5, "curvature": 0.005},
+                 "scheme": {"family": "mollifier", "tol": 4e-5}},
     "gap_field": "gap",
 }
 
@@ -506,8 +504,7 @@ _EXPERIMENTS: dict[str, dict] = {
     "normality-scan": {
         "runner": _run_normality_scan,
         "defaults": {"seed": 0, "order": {"k": 1, "p": 2.0},
-                     "eps": [0.25, 0.125, 0.0625], "h_divisor": 40,
-                     "growth_low": 1.7, "growth_high": 2.3},
+                     "eps": [0.25, 0.125, 0.0625], "h_divisor": 40},
         "ranges": _SOBOLEV_RANGES,
         "gap_field": None,
     },
@@ -515,7 +512,7 @@ _EXPERIMENTS: dict[str, dict] = {
         "runner": _run_mollifier_rate,
         "domain_kinds": ("torus",),
         "defaults": {"seed": 0, "domain": {"kind": "torus", "n": 128},
-                     "deltas": [0.1, 0.05, 0.025], "order_min": 1.8},
+                     "deltas": [0.1, 0.05, 0.025]},
         "gap_field": "err_inf",
     },
     "boundary-chart-audit": {
@@ -532,7 +529,10 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "samples": 20, "domains": ["interval"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 513},
                      "ns": [2, 4, 8], "order": {"p": 2.0}},
-        "ranges": _SOBOLEV_RANGES,
+        # the convergence row compares the errors of successive indices
+        "ranges": {**_SOBOLEV_RANGES, "ns": (
+            lambda v: len(v) >= 2 and all(n >= 2 for n in v),
+            "ns = {!r} outside the allowed range: need two or more indices, each >= 2")},
         "gap_field": "outside_max",
     },
     "prop35-demo": {
@@ -547,14 +547,13 @@ _EXPERIMENTS: dict[str, dict] = {
         "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "order": {"p": 2.0},
                      "domain": {"kind": "interval", "n": 32},
-                     "scheme": {"tol": 1e-6}, "gap_threshold": 1e-5},
+                     "scheme": {"tol": 1e-6}},
         "caveat": extrapolation.FINITE_DIMENSION_CAVEAT,
         "gap_field": "value",
     },
     "renorm-audit": {
         "runner": _run_renorm_audit,
-        "defaults": {"seed": 0, "samples": 50, "spaces": list(_RENORM_SPACES),
-                     "inflation": 1.05},
+        "defaults": {"seed": 0, "samples": 50, "spaces": list(_RENORM_SPACES)},
         "gap_field": None,
     },
 }
@@ -572,19 +571,25 @@ _RANGES = {
                  "cannot build a grid with domain.n = {!r}; need an integer >= 4"),
     "rect_n": (lambda v: v >= 4,
                "cannot build a grid with rect_n = {!r}; need an integer >= 4"),
-    # with every eps <= 1, h_divisor >= 3 gives the scan grid at least 4 points
-    "eps": (lambda v: all(0 < e <= 1 for e in v),
-            "eps = {!r} outside the allowed range: each value must lie in (0, 1]"),
+    "scheme.family": (lambda v: v in _SCHEMES,
+                      "scheme.family = {!r} outside the allowed choices: " + ", ".join(_SCHEMES)),
+    # a growth needs two eps; with each eps <= 1, h_divisor >= 3 gives >= 4 grid points
+    "eps": (lambda v: len(v) >= 2 and all(0 < e <= 1 for e in v),
+            "eps = {!r} outside the allowed range: need two or more values in (0, 1]"),
     "h_divisor": (lambda v: v >= 3,
                   "h_divisor = {!r} outside the allowed range: need an integer >= 3"),
-    "deltas": (lambda v: all(d > 0 for d in v),
-               "deltas = {!r} outside the allowed range: each value must be > 0"),
+    "deltas": (lambda v: len(v) >= 2 and all(d > 0 for d in v),
+               "deltas = {!r} outside the allowed range: need two or more values > 0"),
     "ns": (lambda v: all(n >= 2 for n in v),
            "ns = {!r} outside the allowed range: each index must be an integer >= 2"),
     "order.k": (lambda v: v >= 0,
                 "order.k = {!r} outside the allowed range: need an integer >= 0"),
     "orders": (lambda v: all(k >= 1 for k in v),
                "orders = {!r} outside the allowed range: each order must be an integer >= 1"),
+    "spaces": (lambda v: all(name in _RENORM_SPACES for name in v),
+               "spaces = {!r} outside the allowed choices: " + ", ".join(_RENORM_SPACES)),
+    "domains": (lambda v: all(kind in _AUDIT_DOMAINS for kind in v),
+                "domains = {!r} outside the allowed choices: " + ", ".join(_AUDIT_DOMAINS)),
     # extrapolation-demo runs its lp norms at p = 1
     "order.p": (lambda v: v >= 1,
                 "order.p = {!r} outside the allowed range: need a number >= 1"),

@@ -252,21 +252,16 @@ class NormSpec:
         return np.array([self.value(x) for x in X])
 
     def grad(self, x) -> np.ndarray:
-        """Gradient of the norm (a subgradient at kinks); zero at the origin."""
+        """Gradient of a Sobolev norm or its dual (a subgradient at kinks); zero at the origin."""
+        if self.kind == "lp":
+            raise NotImplementedError(
+                "lp norms are certified monotone; span_norm never needs their gradient")
         x = np.asarray(x, dtype=float)
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_value_grad(self.domain, self.k, self.p, x)[1]
-        if self.kind == "dual_sobolev":
-            if self.p != 2.0:
-                raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
-            return sobolev_grid.negative_sobolev_value_grad(self.domain, self.k, x)[1]
-        val = self.value(x)
-        if val == 0.0:
-            return np.zeros_like(x)
-        if self.p == 1.0:
-            return self.weights * np.sign(x)
-        g = self.weights * np.abs(x) ** (self.p - 1.0) * np.sign(x)
-        return g * val ** (1.0 - self.p)
+        if self.p != 2.0:
+            raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
+        return sobolev_grid.negative_sobolev_value_grad(self.domain, self.k, x)[1]
 
     def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)

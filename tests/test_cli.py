@@ -5,11 +5,12 @@ Exit code 0 means every row passed, 1 that some row failed, 2 a usage error.
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from latlab.cli import _EXPERIMENTS, main, normalize_config
+from latlab.cli import _EXPERIMENTS, UsageError, main, normalize_config
 from latlab.extrapolation import FINITE_DIMENSION_CAVEAT
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -98,7 +99,7 @@ def test_nonconvergence_is_a_fail_row(experiment, tmp_path):
 
 def test_gap_above_threshold_is_a_fail_row_naming_the_gap(tmp_path):
     # 640 nodes at the default tol: every Cauchy window closes while the gap
-    # still exceeds gap_threshold
+    # still exceeds the Theorem 4.1 gap bound
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "sup-construct",
                                   "domain": {"kind": "interval", "n": 640},
@@ -112,6 +113,19 @@ def test_gap_above_threshold_is_a_fail_row_naming_the_gap(tmp_path):
         witness = json.loads(row["witness"])
         assert witness == {"gap": float(row["gap"]), "gap_threshold": 1e-5}
         assert witness["gap"] > witness["gap_threshold"]
+
+
+@pytest.mark.parametrize("experiment", ["sup-construct", "sup-construct-dual"])
+def test_resolvent_multiplication_scheme_passes(experiment, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment,
+                                  "domain": {"kind": "interval", "n": 64},
+                                  "scheme": {"family": "resolvent-multiplication"},
+                                  "samples": 3}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    (csv_path,) = out.glob("*.csv")
+    assert _statuses(csv_path) == ["PASS"] * 3
 
 
 @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
@@ -252,11 +266,24 @@ def test_domain_kind_the_experiment_does_not_build_is_a_usage_error(
     ("normality-scan", {"domain": {"kind": "sphere", "n": 64}}, "domain"),
     ("sup-construct", {"domain": 5}, "domain"),
     ("sup-construct", {"scheme": {"tol": "small"}}, "scheme.tol"),
-    ("renorm-audit", {"inflation": "x"}, "inflation"),
+    ("renorm-audit", {"samples": "x"}, "samples"),
     ("normality-scan", {"eps": []}, "eps"),
     ("mollifier-rate", {"deltas": []}, "deltas"),
+    # verdict thresholds are experiment constants, not config fields
+    ("sup-construct", {"gap_threshold": 1.0}, "gap_threshold"),
+    ("sup-construct-dual", {"gap_threshold": 1.0}, "gap_threshold"),
+    ("extrapolation-demo", {"gap_threshold": 1.0}, "gap_threshold"),
+    ("sup-construct", {"curvature": 0.0}, "curvature"),
+    ("sup-construct-dual", {"curvature": 0.0}, "curvature"),
+    ("normality-scan", {"growth_low": 0.0}, "growth_low"),
+    ("normality-scan", {"growth_high": 1e9}, "growth_high"),
+    ("mollifier-rate", {"order_min": -1e9}, "order_min"),
+    ("renorm-audit", {"inflation": 1e6}, "inflation"),
 ], ids=["undeclared-n_max", "undeclared-family", "undeclared-domain", "domain-not-object",
-        "tol-not-number", "inflation-not-number", "empty-eps", "empty-deltas"])
+        "tol-not-number", "samples-not-integer", "empty-eps", "empty-deltas",
+        "sup-gap_threshold", "sup-dual-gap_threshold", "extrapolation-gap_threshold",
+        "sup-curvature", "sup-dual-curvature", "growth_low", "growth_high", "order_min",
+        "inflation"])
 def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, tmp_path,
                                                        capsys):
     config = tmp_path / "config.json"
@@ -266,6 +293,21 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
     assert f"config field {field} " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"experiment": "renorm-audit", "spaces": ["l2-dim8", "bogus"]},
+     "spaces = ['l2-dim8', 'bogus'] outside"),
+    ({"experiment": "boundary-chart-audit", "domains": ["interval", "torus"]},
+     "domains = ['interval', 'torus'] outside"),
+    ({"experiment": "pushin-audit", "domains": ["interval", "torus"]},
+     "domains = ['interval', 'torus'] outside"),
+    ({"experiment": "sup-construct", "scheme": {"family": "bogus"}},
+     "scheme.family = 'bogus' outside"),
+], ids=["renorm-space", "chart-domain", "pushin-domain", "scheme-family"])
+def test_unknown_choice_is_rejected_before_any_run(raw, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
+        normalize_config(raw)
 
 
 @pytest.mark.parametrize("experiment, config, message", [
@@ -281,7 +323,7 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("extrapolation-demo", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
     ("normality-scan", {"order": {"p": 1}}, "order.p = 1 outside"),
     ("pushin-audit", {"order": {"p": 1}}, "order.p = 1 outside"),
-    ("mollifier-rate", {"deltas": [0.001]}, "deltas = [0.001] too fine"),
+    ("mollifier-rate", {"deltas": [0.002, 0.001]}, "deltas = [0.002, 0.001] too fine"),
     ("renorm-audit", {"spaces": ["l2-dim8", "l2-dim8"]},
      "config field spaces repeats the entry 'l2-dim8'"),
     ("boundary-chart-audit", {"domains": ["interval", "rectangle", "interval"]},
@@ -294,8 +336,13 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
     ("pushin-audit", {"ns": [2, 4, 2]}, "config field ns repeats the entry 2"),
     ("boundary-chart-audit", {"chart_samples": -1}, "chart_samples must be a positive"),
     ("boundary-chart-audit", {"chart_samples": 0}, "chart_samples must be a positive"),
-    ("normality-scan", {"eps": [1.0], "h_divisor": 3, "order": {"k": 3}},
-     "order.k = 3 does not fit the grid that eps = [1.0] and h_divisor = 3 give"),
+    ("mollifier-rate", {"deltas": [0.1]}, "deltas = [0.1] outside"),
+    ("normality-scan", {"eps": [0.25]}, "eps = [0.25] outside"),
+    ("normality-scan", {"eps": [0.25], "order": {"k": 0}}, "eps = [0.25] outside"),
+    ("pushin-audit", {"ns": [2]}, "ns = [2] outside"),
+    ("normality-scan", {"order": {"p": 300}}, "order.p = 300 is too large"),
+    ("normality-scan", {"eps": [1.0, 0.9], "h_divisor": 3, "order": {"k": 4}},
+     "order.k = 4 does not fit the grid that eps = [1.0, 0.9] and h_divisor = 3 give"),
     ("prop35-demo", {"orders": [300]}, "orders entry 300 does not fit domain.n = 257"),
     ("prop35-demo", {"domain": {"n": 32}, "orders": [2]},
      "orders entry 2 does not fit domain.n = 32"),
@@ -305,7 +352,8 @@ def test_undeclared_or_mistyped_field_is_a_usage_error(experiment, raw, field, t
         "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid",
         "repeated-space", "repeated-chart-domain", "repeated-pushin-domain",
         "repeated-order", "repeated-delta", "repeated-eps", "repeated-index",
-        "chart-samples-negative", "chart-samples-zero", "order-k-above-scan-grid",
+        "chart-samples-negative", "chart-samples-zero", "single-delta", "single-eps",
+        "single-eps-l2", "single-pushin-index", "order-p-underflow", "order-k-above-scan-grid",
         "order-above-grid", "w0-sample-on-coarse-grid", "w0-sample-on-4-nodes"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -403,11 +403,10 @@ class TestNormSpec:
             assert np.allclose(batch, single, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("make", [
-        lambda: NormSpec.lp(np.linspace(0.5, 2, 6), 3.0),
         lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
         lambda: NormSpec.sobolev(GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 5), 2, 3.0),
         lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
-    ], ids=["lp-p3", "sobolev-interval-k1-p2", "sobolev-rectangle-k2-p3",
+    ], ids=["sobolev-interval-k1-p2", "sobolev-rectangle-k2-p3",
             "dual-sobolev-p2"])
     def test_grad_matches_central_differences(self, make):
         spec = make()
@@ -417,6 +416,13 @@ class TestNormSpec:
                        for e in np.eye(spec.dim)])
         assert np.allclose(spec.grad(x), fd, rtol=1e-6, atol=1e-8)
         assert np.array_equal(spec.grad(np.zeros(spec.dim)), np.zeros(spec.dim))
+
+    def test_lp_grad_raises(self):
+        # span_norm differentiates only norms not certified monotone; lp always is
+        spec = NormSpec.lp(np.linspace(0.5, 2, 6), 3.0)
+        assert spec.monotone
+        with pytest.raises(NotImplementedError, match="certified monotone"):
+            spec.grad(np.random.default_rng(4).standard_normal(spec.dim))
 
     def test_dual_grad_needs_p_two(self):
         spec = NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 3.0)
