@@ -26,7 +26,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,24 +75,16 @@ class MergeError(ValueError):
     """Malformed report CSV; message names file and line."""
 
 
-@dataclass
-class ReportRow:
-    """One experiment case: parameter snapshot, measured values, verdict.
+def _row(cfg: dict, case: str, params: dict, values: dict, ok: bool, witness) -> dict:
+    """One experiment case as its CSV row: column name -> cell.
 
-    The keys of ``params`` and then of ``values`` are the CSV columns between
-    ``case`` and ``status``, so every row of a run has the same keys in the
-    same order.  A FAIL row carries a machine-readable witness (JSON-encoded).
+    The columns are ``case``, the keys of ``params``, ``seed``, the keys of
+    ``values``, ``status`` and ``witness``, so every row of a runner has the
+    same keys in the same order.  A FAIL row's witness is the JSON encoding
+    of ``witness``; a PASS row's is empty.
     """
-
-    case: str
-    params: dict
-    values: dict
-    ok: bool
-    witness: str = ""
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.ok else "FAIL"
+    return {"case": case, **params, "seed": cfg["seed"], **values,
+            "status": "PASS" if ok else "FAIL", "witness": "" if ok else json.dumps(witness)}
 
 
 def _fmt(v) -> str:
@@ -103,8 +94,14 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared sample generators
+# Shared domains and sample generators
 # ---------------------------------------------------------------------------
+
+def _domain(cfg: dict) -> GridDomain:
+    """The unit torus or the [0, 1] interval of ``cfg["domain"]``."""
+    kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
+    return GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
+
 
 _TRIG_MODES = 3
 
@@ -136,14 +133,14 @@ _SUP_GAP_MAX = 1e-5
 _SUP_CURVATURE = 0.005
 
 
-def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, str]]:
+def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, dict]]:
     """Gap max|s - |z||, verdict and witness of each column z of Z.
 
     ``compute()`` is the supremum of the batch Z.  Its ConvergenceError names
     the failed columns; each fails with a witness holding its message and
     Cauchy increments.  Gaps are taken at the best iterates, NaN without one.
     A converged column fails when its gap exceeds ``_SUP_GAP_MAX``, with a
-    witness naming both.
+    witness naming both; a passing column's witness goes unused.
     """
     try:
         S, failed = compute(), {}
@@ -153,8 +150,7 @@ def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, str]]:
     for j in range(Z.shape[1]):
         gap = float("nan") if S is None else float(np.max(np.abs(S[:, j] - np.abs(Z[:, j]))))
         ok = j not in failed and gap <= _SUP_GAP_MAX
-        witness = failed.get(j) or ({} if ok else {"gap": gap, "gap_threshold": _SUP_GAP_MAX})
-        out.append((gap, ok, json.dumps(witness, separators=(",", ":")) if witness else ""))
+        out.append((gap, ok, failed.get(j) or {"gap": gap, "gap_threshold": _SUP_GAP_MAX}))
     return out
 
 
@@ -162,10 +158,9 @@ def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, str]]:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_sup_construct(cfg: dict, sup) -> list[ReportRow]:
+def _run_sup_construct(cfg: dict, sup) -> list[dict]:
     """Rows of ``sup``, constructive_sup or constructive_sup_dual, on random profiles."""
-    kind, n = cfg["domain"]["kind"], cfg["domain"]["n"]
-    domain = GridDomain.torus(1.0, n) if kind == "torus" else GridDomain.interval(0.0, 1.0, n)
+    domain = _domain(cfg)
     family = cfg["scheme"]["family"]
     try:
         scheme = _SCHEMES[family](domain, cfg["seed"])
@@ -173,35 +168,30 @@ def _run_sup_construct(cfg: dict, sup) -> list[ReportRow]:
         raise UsageError(f"cannot build scheme {family!r}: {exc}") from exc
     tol = cfg["scheme"]["tol"]
     rng = np.random.default_rng(cfg["seed"])
-    t_ax = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
-    Z = np.column_stack([_trig_profile(rng, t_ax, _SUP_CURVATURE)
+    Z = np.column_stack([_trig_profile(rng, domain.axis(0), _SUP_CURVATURE)
                          for _ in range(cfg["samples"])])
-    rows = []
     verdicts = _sup_verdicts(lambda: sup(scheme, Z, tol), Z)
-    for i, (gap, ok, witness) in enumerate(verdicts):
-        rows.append(ReportRow(
-            f"z{i:03d}",
-            params={"domain": kind, "grid_n": n, "scheme": family,
-                    "tol": tol, "seed": cfg["seed"]},
-            values={"gap": gap}, ok=ok, witness=witness,
-        ))
-    return rows
+    params = {"domain": domain.kind, "grid_n": domain.n, "scheme": family, "tol": tol}
+    return [_row(cfg, f"z{i:03d}", params, {"gap": gap}, ok, witness)
+            for i, (gap, ok, witness) in enumerate(verdicts)]
 
 
 # W^{1,p} is not normal: halving eps must grow ||x|| / ||y|| by a factor in this range
 _NORMALITY_GROWTH = (1.7, 2.3)
 
 
-def _run_normality_scan(cfg: dict) -> list[ReportRow]:
+def _run_normality_scan(cfg: dict) -> list[dict]:
     eps_list = sorted(cfg["eps"], reverse=True)
     divisor = cfg["h_divisor"]
-    n = int(math.ceil(divisor / min(eps_list))) + 1
-    domain = GridDomain.interval(0.0, 1.0, n)
+    k, p = cfg["order"]["k"], cfg["order"]["p"]
+    domain = GridDomain.interval(0.0, 1.0, int(math.ceil(divisor / min(eps_list))) + 1)
     try:
-        space = OrderedSpaceSpec.standard_sobolev(domain, cfg["order"]["k"], cfg["order"]["p"])
+        space = OrderedSpaceSpec.standard_sobolev(domain, k, p)
     except ValueError as exc:
-        raise UsageError(f"order.k = {cfg['order']['k']} does not fit the grid that "
-                         f"eps = {eps_list!r} and h_divisor = {divisor} give: {exc}") from exc
+        if isinstance(exc.__cause__, FloatingPointError):
+            raise UsageError(f"order.p = {p!r} is too large for the scan: {exc}") from exc
+        raise UsageError(f"order.k = {k} does not fit the grid that eps = {eps_list!r} "
+                         f"and h_divisor = {divisor} give: {exc}") from exc
     t = domain.axis(0)
     rows, prev = [], None
     for eps in eps_list:
@@ -210,27 +200,24 @@ def _run_normality_scan(cfg: dict) -> list[ReportRow]:
         try:
             ratio = normality_constant_lower_bound(space, [(x, y)])
         except ValueError as exc:
-            raise UsageError(f"order.p = {cfg['order']['p']!r} is too large for the scan: the "
+            raise UsageError(f"order.p = {p!r} is too large for the scan: the "
                              f"norm of y = eps underflows to 0 at eps = {eps:g}") from exc
-        growth = ratio / prev if prev is not None else float("nan")
+        # the ratio's factor per halving of eps
+        growth = ((ratio / prev[1]) ** (1 / math.log2(prev[0] / eps)) if prev
+                  else float("nan"))
         ok = prev is None or (_NORMALITY_GROWTH[0] <= growth <= _NORMALITY_GROWTH[1])
-        rows.append(ReportRow(
-            f"eps={eps:g}",
-            params={"eps": eps, "h": domain.h, "k": cfg["order"]["k"],
-                    "p": cfg["order"]["p"], "seed": cfg["seed"]},
-            values={"ratio": ratio, "growth": growth}, ok=ok,
-            witness="" if ok else json.dumps({"eps": eps, "growth": growth}),
-        ))
-        prev = ratio
+        rows.append(_row(cfg, f"eps={eps:g}", {"eps": eps, "h": domain.h, "k": k, "p": p},
+                         {"ratio": ratio, "growth": growth}, ok, {"eps": eps, "growth": growth}))
+        prev = eps, ratio
     return rows
 
 
-# an even mollifier errs by O(delta^2) on smooth f: each halving of delta needs order >= this
+# an even mollifier errs by O(delta^2) on smooth f: the order of each delta step must be >= this
 _MOLLIFIER_ORDER_MIN = 1.8
 
 
-def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
-    domain = GridDomain.torus(1.0, cfg["domain"]["n"])
+def _run_mollifier_rate(cfg: dict) -> list[dict]:
+    domain = _domain(cfg)
     t = domain.axis(0)
     f = GridFunction(domain, np.sin(2 * np.pi * t) + 0.5 * np.cos(4 * np.pi * t))
     deltas = cfg["deltas"]
@@ -241,22 +228,19 @@ def _run_mollifier_rate(cfg: dict) -> list[ReportRow]:
                          f"{domain.n}: {exc}") from exc
     rows = []
     for i, (d, e) in enumerate(zip(deltas, errs)):
-        order = math.log2(errs[i - 1] / e) if i else float("nan")
+        order = (math.log2(errs[i - 1] / e) / math.log2(deltas[i - 1] / d) if i
+                 else float("nan"))
         ok = not i or order >= _MOLLIFIER_ORDER_MIN
-        rows.append(ReportRow(
-            f"delta={d:g}",
-            params={"grid_n": cfg["domain"]["n"], "delta": d, "seed": cfg["seed"]},
-            values={"err_inf": e, "order": order}, ok=ok,
-            witness="" if ok else json.dumps({"delta": d, "order": order}),
-        ))
+        rows.append(_row(cfg, f"delta={d:g}", {"grid_n": domain.n, "delta": d},
+                         {"err_inf": e, "order": order}, ok, {"delta": d, "order": order}))
     return rows
 
 
-_AUDIT_DOMAINS = {"interval": lambda cfg: GridDomain.interval(0.0, 1.0, cfg["domain"]["n"]),
+_AUDIT_DOMAINS = {"interval": _domain,
                   "rectangle": lambda cfg: GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, cfg["rect_n"])}
 
 
-def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
+def _run_boundary_chart_audit(cfg: dict) -> list[dict]:
     ns = tuple(cfg["ns"])
     samples = cfg["chart_samples"]
     rows = []
@@ -268,24 +252,20 @@ def _run_boundary_chart_audit(cfg: dict) -> list[ReportRow]:
             box_lo = np.maximum(np.asarray(chart.v_lo), lo)
             box_hi = np.minimum(np.asarray(chart.v_hi), hi)
             pts = rng.uniform(box_lo, box_hi, size=(samples, domain.d))
-            violations, witness = 0, ""
+            violations, witness = 0, None
             for n in ns:
                 img = chart.apply(n, pts)
                 bad = ~np.all((img > lo) & (img < hi), axis=1)
-                if bad.any() and not witness:
-                    witness = json.dumps({"n": n, "sample": list(pts[bad][0])})
+                if bad.any() and witness is None:
+                    witness = {"n": n, "sample": list(pts[bad][0])}
                 violations += int(bad.sum())
-            rows.append(ReportRow(
-                f"{domain.kind}-chart{ci}",
-                params={"domain": domain.kind, "chart": ci, "samples": samples,
-                        "seed": cfg["seed"]},
-                values={"violations": float(violations)}, ok=violations == 0,
-                witness=witness,
-            ))
+            rows.append(_row(cfg, f"{domain.kind}-chart{ci}",
+                             {"domain": domain.kind, "chart": ci, "samples": samples},
+                             {"violations": float(violations)}, violations == 0, witness))
     return rows
 
 
-def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
+def _run_pushin_audit(cfg: dict) -> list[dict]:
     ns = tuple(cfg["ns"])
     rows = []
     for domain in (_AUDIT_DOMAINS[kind](cfg) for kind in cfg["domains"]):
@@ -307,24 +287,16 @@ def _run_pushin_audit(cfg: dict) -> list[ReportRow]:
                     worst_support = max(worst_support, float(np.max(np.abs(sf[outside]))))
                 sf_pos = op.matrix @ np.abs(f)
                 worst_neg = min(worst_neg, float(np.min(sf_pos)))
-            ok = worst_support == 0.0 and worst_neg >= 0.0
-            rows.append(ReportRow(
-                f"{domain.kind}-n{n}",
-                params={"domain": domain.kind, "grid_n": domain.n, "n": n,
-                        "seed": cfg["seed"]},
-                values={"outside_max": worst_support, "min_positive_image": worst_neg},
-                ok=ok, witness="" if ok else json.dumps({"outside_max": worst_support}),
-            ))
+            rows.append(_row(cfg, f"{domain.kind}-n{n}",
+                             {"domain": domain.kind, "grid_n": domain.n, "n": n},
+                             {"outside_max": worst_support, "min_positive_image": worst_neg},
+                             worst_support == 0.0 and worst_neg >= 0.0,
+                             {"outside_max": worst_support}))
         if domain.d == 1:
-            decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-            rows.append(ReportRow(
-                f"{domain.kind}-convergence",
-                params={"domain": domain.kind, "grid_n": domain.n, "n": ns[-1],
-                        "seed": cfg["seed"]},
-                values={"outside_max": 0.0, "min_positive_image": float(errs[-1])},
-                ok=decreasing,
-                witness="" if decreasing else json.dumps({"errors": errs}),
-            ))
+            rows.append(_row(cfg, f"{domain.kind}-convergence",
+                             {"domain": domain.kind, "grid_n": domain.n, "n": ns[-1]},
+                             {"outside_max": 0.0, "min_positive_image": float(errs[-1])},
+                             all(b < a for a, b in zip(errs, errs[1:])), {"errors": errs}))
     return rows
 
 
@@ -336,8 +308,8 @@ def _w0_sample(rng: np.random.Generator, t: np.ndarray, k: int) -> np.ndarray:
     return bump * wave * rng.choice([-1.0, 1.0])
 
 
-def _run_prop35_demo(cfg: dict) -> list[ReportRow]:
-    domain = GridDomain.interval(0.0, 1.0, cfg["domain"]["n"])
+def _run_prop35_demo(cfg: dict) -> list[dict]:
+    domain = _domain(cfg)
     t = domain.axis(0)
     rng = np.random.default_rng(cfg["seed"])
     D = sobolev_grid.diff_operator(domain, (1,))
@@ -357,60 +329,53 @@ def _run_prop35_demo(cfg: dict) -> list[ReportRow]:
             for _ in range(k):
                 resid = max(resid, abs(u[0]), abs(u[-1]))
                 u = D @ u
-            ok = min_g >= -1e-10 and min_dom >= -1e-10 and resid <= 1e-10
-            rows.append(ReportRow(
-                f"k{k}-f{i:02d}",
-                params={"k": k, "grid_n": domain.n, "seed": cfg["seed"]},
-                values={"min_g": min_g, "min_g_minus_f": min_dom, "endpoint_resid": resid},
-                ok=ok, witness="" if ok else json.dumps(list(f.values[:8])),
-            ))
+            rows.append(_row(cfg, f"k{k}-f{i:02d}", {"k": k, "grid_n": domain.n},
+                             {"min_g": min_g, "min_g_minus_f": min_dom, "endpoint_resid": resid},
+                             min_g >= -1e-10 and min_dom >= -1e-10 and resid <= 1e-10,
+                             list(f.values[:8])))
     return rows
 
 
-def _run_extrapolation_demo(cfg: dict) -> list[ReportRow]:
+def _run_extrapolation_demo(cfg: dict) -> list[dict]:
     rng = np.random.default_rng(cfg["seed"])
-    rows = []
-
-    def add(case, value, ok, witness=""):
-        rows.append(ReportRow(case, {"seed": cfg["seed"]}, {"value": float(value)}, ok, witness))
+    cases = []  # (case, value, ok, witness), one row each
 
     for label, m in [("m013", np.array([0.0, 1.0, 3.0])),
                      ("rand1", rng.uniform(0.0, 4.0, size=5)),
                      ("rand2", rng.uniform(0.0, 4.0, size=7))]:
         rep = multiplication_example_check(m, p=cfg["order"]["p"], seed=cfg["seed"])
-        add(f"multiplication-identity-{label}", rep.identity_gap, rep.passed,
-            "" if rep.passed else json.dumps(list(m)))
+        cases.append((f"multiplication-identity-{label}", rep.identity_gap, rep.passed, list(m)))
 
     space3 = ExtrapolationSpace(
         OrderedSpaceSpec.standard_lp(np.ones(3), 2.0),
         multiplication_generator([0.0, 1.0, 3.0]), lam=1.0)
     val = extrapolation.extrapolation_norm(space3, np.ones(3))
-    add("multiplication-sqrt21-over-4", abs(val - math.sqrt(21.0) / 4.0),
-        abs(val - math.sqrt(21.0) / 4.0) <= 1e-12)
+    err = abs(val - math.sqrt(21.0) / 4.0)
+    cases.append(("multiplication-sqrt21-over-4", err, err <= 1e-12, {"norm": val}))
 
-    n = cfg["domain"]["n"]
-    domain = GridDomain.interval(0.0, 1.0, n)
-    gen = neumann_laplacian_1d(n, domain.h)
+    domain = _domain(cfg)
+    gen = neumann_laplacian_1d(domain.n, domain.h)
     R1, R2 = resolvent(gen, 1.0), resolvent(gen, 2.0)
     for mu, R in ((1.0, R1), (2.0, R2)):
-        add(f"neumann-resolvent-positivity-mu{mu:g}", float(np.min(R)),
-            float(np.min(R)) >= -1e-12)
+        low = float(np.min(R))
+        cases.append((f"neumann-resolvent-positivity-mu{mu:g}", low, low >= -1e-12,
+                      {"min_entry": low}))
     resid = float(np.max(np.abs(R1 - R2 - (2.0 - 1.0) * (R1 @ R2))))
-    add("resolvent-identity", resid, resid <= 1e-9)
+    cases.append(("resolvent-identity", resid, resid <= 1e-9, {"residual": resid}))
 
-    base = OrderedSpaceSpec.standard_lp(np.full(n, domain.cell_measure), cfg["order"]["p"])
+    base = OrderedSpaceSpec.standard_lp(np.full(domain.n, domain.cell_measure),
+                                        cfg["order"]["p"])
     space = ExtrapolationSpace(base, gen, lam=1.0)
-    t = np.linspace(0.0, 1.0, n)
-    z = _trig_profile(rng, t, curvature=40.0)
-    Z = z[:, None]
+    Z = _trig_profile(rng, domain.axis(0), curvature=40.0)[:, None]
     ((gap, ok, witness),) = _sup_verdicts(
         lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z)
-    add("theorem41-sup-gap", gap, ok, witness)
+    cases.append(("theorem41-sup-gap", gap, ok, witness))
 
     # desk-scale caveat, reported so the collapse is never mistaken for the
     # infinite-dimensional phenomenon
-    add("finite-dim-cone-collapse-reported", 1.0, True)
-    return rows
+    cases.append(("finite-dim-cone-collapse-reported", 1.0, True, None))
+    return [_row(cfg, case, {}, {"value": float(value)}, ok, witness)
+            for case, value, ok, witness in cases]
 
 
 _RENORM_SPACES = {
@@ -457,7 +422,7 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
 _RENORM_INFLATION = 1.05
 
 
-def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
+def _run_renorm_audit(cfg: dict) -> list[dict]:
     rows = []
     rng = np.random.default_rng(cfg["seed"])
     for name in cfg["spaces"]:
@@ -467,14 +432,11 @@ def _run_renorm_audit(cfg: dict) -> list[ReportRow]:
         M_i, C_i = _RENORM_INFLATION * M, _RENORM_INFLATION * C
         for i, (x, (base, ren)) in enumerate(zip(xs, norms)):
             rep = renorm_bounds_check(base, ren, M_i, C_i)
-            rows.append(ReportRow(
-                f"{name}-x{i:03d}",
-                params={"space": name, "dim": space.dim, "M": M_i, "C": C_i,
-                        "seed": cfg["seed"]},
-                values={"base_norm": rep.base_norm, "renorm": rep.renorm,
-                        "slack_low": rep.slack_low, "slack_high": rep.slack_high},
-                ok=rep.passed, witness="" if rep.passed else json.dumps(list(x)),
-            ))
+            rows.append(_row(cfg, f"{name}-x{i:03d}",
+                             {"space": name, "dim": space.dim, "M": M_i, "C": C_i},
+                             {"base_norm": rep.base_norm, "renorm": rep.renorm,
+                              "slack_low": rep.slack_low, "slack_high": rep.slack_high},
+                             rep.passed, list(x)))
     return rows
 
 
@@ -510,14 +472,12 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "mollifier-rate": {
         "runner": _run_mollifier_rate,
-        "domain_kinds": ("torus",),
         "defaults": {"seed": 0, "domain": {"kind": "torus", "n": 128},
                      "deltas": [0.1, 0.05, 0.025]},
         "gap_field": "err_inf",
     },
     "boundary-chart-audit": {
         "runner": _run_boundary_chart_audit,
-        "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "domains": ["interval", "rectangle"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 64},
                      "ns": [2, 4, 8], "chart_samples": 10_000},
@@ -525,7 +485,6 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "pushin-audit": {
         "runner": _run_pushin_audit,
-        "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "samples": 20, "domains": ["interval"], "rect_n": 32,
                      "domain": {"kind": "interval", "n": 513},
                      "ns": [2, 4, 8], "order": {"p": 2.0}},
@@ -537,14 +496,12 @@ _EXPERIMENTS: dict[str, dict] = {
     },
     "prop35-demo": {
         "runner": _run_prop35_demo,
-        "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "samples": 20, "domain": {"kind": "interval", "n": 257},
                      "orders": [1, 2]},
         "gap_field": "endpoint_resid",
     },
     "extrapolation-demo": {
         "runner": _run_extrapolation_demo,
-        "domain_kinds": ("interval",),
         "defaults": {"seed": 0, "order": {"p": 2.0},
                      "domain": {"kind": "interval", "n": 32},
                      "scheme": {"tol": 1e-6}},
@@ -646,9 +603,11 @@ def normalize_config(raw: dict) -> dict:
     given = {k: v for k, v in raw.items() if k != "experiment"}
     cfg = _conform("", given, spec["defaults"], {**_RANGES, **spec.get("ranges", {})})
     cfg["experiment"] = experiment
-    if "domain" in cfg and cfg["domain"]["kind"] not in spec["domain_kinds"]:
-        kinds, kind = " or ".join(spec["domain_kinds"]), cfg["domain"]["kind"]
-        raise UsageError(f"{experiment} runs on domain.kind {kinds}, not {kind!r}")
+    if "domain" in cfg:
+        kinds = spec.get("domain_kinds", (spec["defaults"]["domain"]["kind"],))
+        if cfg["domain"]["kind"] not in kinds:
+            raise UsageError(f"{experiment} runs on domain.kind {' or '.join(kinds)}, "
+                             f"not {cfg['domain']['kind']!r}")
     return cfg
 
 
@@ -657,9 +616,10 @@ def run_id_of(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def run(cfg: dict) -> tuple[list[ReportRow], float]:
+def run(cfg: dict) -> tuple[list[dict], float]:
     """Run a normalized config's experiment: its rows, deterministic per seed,
-    and the runner's wall time in seconds."""
+    and the runner's wall time in seconds.  Each row maps the CSV columns to
+    their cells, as ``_row`` builds it."""
     start = time.perf_counter()
     rows = _EXPERIMENTS[cfg["experiment"]]["runner"](cfg)
     return rows, time.perf_counter() - start
@@ -682,14 +642,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_report(cfg: dict, rows: list[ReportRow], wall_time: float,
+def write_report(cfg: dict, rows: list[dict], wall_time: float,
                  out_dir) -> tuple[Path, Path]:
     """Write the CSV of a normalized config's rows and its JSON summary.
 
-    The CSV columns are ``case``, the keys of the first row's ``params`` and
-    then of its ``values``, ``status`` and ``witness``.  The summary's pass
-    and fail counts and worst gap are ``report_merge``'s, read back from the
-    CSV.  Returns both paths.
+    The CSV header is the keys of the first row, and each line the cells of
+    a row, floats at full precision.  The summary's pass and fail counts and
+    worst gap are ``report_merge``'s, read back from the CSV.  Returns the
+    CSV path and the summary path.
     """
     spec = _EXPERIMENTS[cfg["experiment"]]
     rid = run_id_of(cfg)
@@ -697,10 +657,9 @@ def write_report(cfg: dict, rows: list[ReportRow], wall_time: float,
     fh = io.StringIO()
     fh.write(f"# schema={SCHEMA_VERSION},run_id={rid},experiment={cfg['experiment']}\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["case", *rows[0].params, *rows[0].values, "status", "witness"])
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([row.case, *map(_fmt, row.params.values()),
-                         *map(_fmt, row.values.values()), row.status, row.witness])
+        writer.writerow(map(_fmt, row.values()))
     csv_path = out_dir / f"{cfg['experiment']}-{rid}.csv"
     _atomic_write(csv_path, fh.getvalue())
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,10 +270,18 @@ class NormSpec:
         for _ in range(_NORM_CHECK_SAMPLES):
             x = rng.standard_normal(self.dim)
             y = rng.standard_normal(self.dim)
-            nx, ny = self.value(x), self.value(y)
-            if abs(self.value(2.0 * x) - 2.0 * nx) > scale_tol * (1.0 + nx):
+            # inf would pass both checks below: an overflow raises instead of
+            # warning, and any non-finite value fails as one
+            try:
+                with np.errstate(over="raise"):
+                    nx, ny, n2x, nxy = (self.value(v) for v in (x, y, 2.0 * x, x + y))
+                if not all(map(math.isfinite, (nx, ny, n2x, nxy))):
+                    raise FloatingPointError("norm value is not finite")
+            except FloatingPointError as exc:
+                raise ValueError(f"norm is not finite on a sample: {exc}") from exc
+            if abs(n2x - 2.0 * nx) > scale_tol * (1.0 + nx):
                 raise ValueError("norm failed the sampled homogeneity check")
-            if self.value(x + y) > nx + ny + scale_tol * (1.0 + nx + ny):
+            if nxy > nx + ny + scale_tol * (1.0 + nx + ny):
                 raise ValueError("norm failed the sampled triangle inequality")
 
 

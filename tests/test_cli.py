@@ -115,6 +115,46 @@ def test_gap_above_threshold_is_a_fail_row_naming_the_gap(tmp_path):
         assert witness["gap"] > witness["gap_threshold"]
 
 
+@pytest.mark.parametrize("experiment, raw, keys", [
+    ("normality-scan", {"order": {"k": 0}}, {"eps", "growth"}),
+    ("sup-construct", {"domain": {"kind": "interval", "n": 640},
+                       "scheme": {"family": "resolvent-neumann"}}, {"gap", "gap_threshold"}),
+], ids=["normality-scan-l2", "sup-construct-neumann-640"])
+def test_fail_witness_is_json_and_pass_witness_is_empty(experiment, raw, keys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    (csv_path,) = out.glob("*.csv")
+    rows = _rows(csv_path)
+    assert "FAIL" in {row["status"] for row in rows}
+    for row in rows:
+        if row["status"] == "FAIL":
+            assert set(json.loads(row["witness"])) == keys
+        else:
+            assert row["witness"] == ""
+
+
+# each step's rate is taken per halving, so steps that do not halve pass
+# or fail as halving steps would
+@pytest.mark.parametrize("experiment, raw, exit_code, column, rates", [
+    ("mollifier-rate", {"deltas": [0.1, 0.09, 0.08]}, 0, "order", [1.9377, 1.9541]),
+    ("normality-scan", {"eps": [0.25, 0.2, 0.16]}, 0, "growth", [1.9933, 2.0187]),
+    # the L^2 ratio does not grow at any step size
+    ("normality-scan", {"eps": [0.25, 0.2, 0.16], "order": {"k": 0}}, 1, "growth",
+     [1.0, 0.9499]),
+], ids=["mollifier-deltas", "normality-eps", "normality-eps-l2"])
+def test_rate_of_a_step_that_does_not_halve(experiment, raw, exit_code, column, rates,
+                                            tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, **raw}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out)]) == exit_code
+    (csv_path,) = out.glob("*.csv")
+    rows = _rows(csv_path)
+    assert [float(row[column]) for row in rows[1:]] == pytest.approx(rates, abs=1e-4)
+
+
 @pytest.mark.parametrize("experiment", ["sup-construct", "sup-construct-dual"])
 def test_resolvent_multiplication_scheme_passes(experiment, tmp_path):
     config = tmp_path / "config.json"
@@ -340,7 +380,10 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
     ("normality-scan", {"eps": [0.25]}, "eps = [0.25] outside"),
     ("normality-scan", {"eps": [0.25], "order": {"k": 0}}, "eps = [0.25] outside"),
     ("pushin-audit", {"ns": [2]}, "ns = [2] outside"),
-    ("normality-scan", {"order": {"p": 300}}, "order.p = 300 is too large"),
+    ("normality-scan", {"order": {"p": 300}},
+     "order.p = 300 is too large for the scan: norm is not finite on a sample"),
+    ("normality-scan", {"order": {"k": 0, "p": 300}},
+     "order.p = 300 is too large for the scan: the norm of y = eps underflows"),
     ("normality-scan", {"eps": [1.0, 0.9], "h_divisor": 3, "order": {"k": 4}},
      "order.k = 4 does not fit the grid that eps = [1.0, 0.9] and h_divisor = 3 give"),
     ("prop35-demo", {"orders": [300]}, "orders entry 300 does not fit domain.n = 257"),
@@ -353,7 +396,8 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
         "repeated-space", "repeated-chart-domain", "repeated-pushin-domain",
         "repeated-order", "repeated-delta", "repeated-eps", "repeated-index",
         "chart-samples-negative", "chart-samples-zero", "single-delta", "single-eps",
-        "single-eps-l2", "single-pushin-index", "order-p-underflow", "order-k-above-scan-grid",
+        "single-eps-l2", "single-pushin-index", "order-p-underflow", "order-p-underflow-l2",
+        "order-k-above-scan-grid",
         "order-above-grid", "w0-sample-on-coarse-grid", "w0-sample-on-4-nodes"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -409,8 +453,4 @@ def test_runner_reads_every_declared_field(experiment):
     cfg = normalize_config({"experiment": experiment, **_SMALL.get(experiment, {})})
     read = set()
     spec["runner"](_Recording(cfg, read))
-    declared = _leaves(spec["defaults"])
-    # a domain.kind with one allowed value is validated, not read
-    if len(spec.get("domain_kinds", ())) == 1:
-        declared.discard("domain.kind")
-    assert declared - read == set()
+    assert _leaves(spec["defaults"]) - read == set()

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,18 @@ class TestNormSpec:
             "dual-k1-p3", "dual-k2-long-interval"])
     def test_monotone_certificate(self, make, monotone):
         assert make().monotone is monotone
+
+    @pytest.mark.parametrize("make", [
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 642), 1, 300.0),
+        lambda: NormSpec.lp(np.array([1.0, np.inf]), 2.0),
+    ], ids=["sobolev-overflow", "lp-infinite-weight"])
+    def test_non_finite_norm_fails_its_sampled_checks(self, make):
+        # inf - 2 inf is NaN and inf > inf + inf is False: without the
+        # finiteness check both sampled checks would pass on inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="norm is not finite on a sample"):
+                make()
 
     def test_lp_allows_p_equal_one(self):
         spec = NormSpec.lp(np.ones(3), 1.0)
