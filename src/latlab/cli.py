@@ -517,6 +517,12 @@ _EXPERIMENTS: dict[str, dict] = {
         "defaults": {"seed": 0, "order": {"p": 2.0},
                      "domain": {"kind": "interval", "n": 32},
                      "scheme": {"tol": 1e-6}},
+        # the theorem41-sup-gap increments fall only as about 36/n, so below
+        # 1e-9 they cannot meet tol by the resolvent scheme's n_max = 2**40
+        "ranges": {"scheme.tol": (
+            lambda v: 1e-9 <= v <= 1e-2,
+            "scheme.tol = {:g} outside the allowed range [1e-9, 1e-2] of extrapolation-demo: "
+            "its supremum cannot converge below 1e-9 by n_max = 2**40")},
         "caveat": extrapolation.FINITE_DIMENSION_CAVEAT,
         "gap_field": "value",
     },

@@ -264,6 +264,18 @@ class NormSpec:
             raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
         return sobolev_grid.negative_sobolev_value_grad(self.domain, self.k, x)[1]
 
+    def hess(self, x) -> np.ndarray:
+        """Dense Hessian of a Sobolev norm or its dual (0 at the origin)."""
+        if self.kind == "lp":
+            raise NotImplementedError(
+                "lp norms are certified monotone; span_norm never needs their Hessian")
+        x = np.asarray(x, dtype=float)
+        if self.kind == "sobolev":
+            return sobolev_grid.sobolev_hess(self.domain, self.k, self.p, x)
+        if self.p != 2.0:
+            raise NotImplementedError("Hessian of the dual Sobolev norm needs p = 2")
+        return sobolev_grid.negative_sobolev_hess(self.domain, self.k, x)
+
     def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)
         scale_tol = 1e-8

@@ -88,16 +88,16 @@ class GridDomain:
     def periodic(self) -> bool:
         return self.kind == "torus"
 
-    @property
+    @functools.cached_property
     def h(self) -> float:
         extent = self.hi[0] - self.lo[0]
         return extent / self.n if self.periodic else extent / (self.n - 1)
 
-    @property
+    @functools.cached_property
     def node_count(self) -> int:
         return self.n ** self.d
 
-    @property
+    @functools.cached_property
     def cell_measure(self) -> float:
         return self.h ** self.d
 
@@ -200,6 +200,28 @@ def sobolev_value_grad(domain: GridDomain, k: int, p: float, f: np.ndarray):
     return val, w * (St @ (np.abs(u) ** (p - 1.0) * np.sign(u))) * val ** (1.0 - p)
 
 
+def sobolev_hess(domain: GridDomain, k: int, p: float, f: np.ndarray) -> np.ndarray:
+    """Dense Hessian of the W^{k,p} norm at f (0 at 0).
+
+    (p-1) (w val^(1-p) S^T diag(|Sf|^(p-2)) S - g g^T / val), with |Sf| floored
+    at 1e-8 max|Sf| so that 1 < p < 2 stays finite where Sf vanishes.
+    """
+    val, g = sobolev_value_grad(domain, k, p, f)
+    if val == 0.0:
+        return np.zeros((f.size, f.size))
+    S = _dense_stacked_diff_operator(domain, k)
+    u = np.abs(S @ f)
+    D = (S.T * np.maximum(u, 1e-8 * u.max()) ** (p - 2.0)) @ S
+    return (p - 1.0) * (domain.cell_measure * val ** (1.0 - p) * D - np.outer(g, g) / val)
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_stacked_diff_operator(domain: GridDomain, k: int) -> np.ndarray:
+    S = stacked_diff_operator(domain, k)[0].toarray()
+    S.setflags(write=False)
+    return S
+
+
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: p-sum of f and its differences up to order k."""
     _check_grid_order(f.domain, k)
@@ -280,6 +302,15 @@ def negative_sobolev_value_grad(domain: GridDomain, k: int, g: np.ndarray):
     if val == 0.0:
         return val, np.zeros_like(g)
     return val, w * u / val
+
+
+def negative_sobolev_hess(domain: GridDomain, k: int, g: np.ndarray) -> np.ndarray:
+    """Dense Hessian (w K^{-1} - grad grad^T) / norm of the W^{-k,2} norm at g (0 at 0)."""
+    val, grad = negative_sobolev_value_grad(domain, k, g)
+    if val == 0.0:
+        return np.zeros((g.size, g.size))
+    Kinv = _sobolev_stiffness_factor(domain, k).solve(np.eye(g.size))
+    return (domain.cell_measure * Kinv - np.outer(grad, grad)) / val
 
 
 def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:

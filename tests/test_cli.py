@@ -4,12 +4,14 @@ Exit code 0 means every row passed, 1 that some row failed, 2 a usage error.
 """
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from latlab import extrapolation
 from latlab.cli import _EXPERIMENTS, UsageError, main, normalize_config
 from latlab.extrapolation import FINITE_DIMENSION_CAVEAT
 
@@ -178,10 +180,15 @@ def test_defaults_pass(experiment, tmp_path):
     assert {row["status"] for row in _rows(csv_path)} == {"PASS"}
 
 
-def test_extrapolation_demo_nonconvergence_is_a_fail_row(tmp_path):
+def test_extrapolation_demo_nonconvergence_is_a_fail_row(tmp_path, monkeypatch):
+    # the increments fall as about 36/n, so an index range cut at n = 2**10
+    # runs out long before they reach the smallest allowed tol
+    scheme = extrapolation.resolvent_scheme
+    monkeypatch.setattr(extrapolation, "resolvent_scheme",
+                        lambda gen: dataclasses.replace(scheme(gen), n_max=2 ** 10))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"experiment": "extrapolation-demo",
-                                  "scheme": {"tol": 1e-12}}))
+                                  "scheme": {"tol": 1e-9}}))
     out = tmp_path / "out"
     assert main(["extrapolation-demo", "--config", str(config), "--out", str(out)]) == 1
     (csv_path,) = out.glob("*.csv")
@@ -398,6 +405,9 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
      "cannot build the charts of ns = [2, 10000000000000000]: chart image closure touches"),
     ("pushin-audit", {"ns": [2, 10 ** 16]},
      "cannot build the charts of ns = [2, 10000000000000000]: chart image closure touches"),
+    ("extrapolation-demo", {"scheme": {"tol": 1e-10}},
+     "scheme.tol = 1e-10 outside the allowed range [1e-9, 1e-2] of extrapolation-demo: "
+     "its supremum cannot converge below 1e-9"),
 ], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
         "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
         "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid",
@@ -408,7 +418,7 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
         "order-k-above-scan-grid",
         "order-above-grid", "w0-sample-on-coarse-grid", "w0-sample-on-4-nodes",
         "extrapolation-p-overflow", "delta-above-half-torus", "chart-index-huge",
-        "pushin-index-huge"])
+        "pushin-index-huge", "extrapolation-tol-below-floor"])
 def test_bad_config_value_is_a_usage_error(experiment, config, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -429,17 +429,24 @@ class TestNormSpec:
                        for e in np.eye(spec.dim)])
         assert np.allclose(spec.grad(x), fd, rtol=1e-6, atol=1e-8)
         assert np.array_equal(spec.grad(np.zeros(spec.dim)), np.zeros(spec.dim))
+        fd_hess = np.array([(spec.grad(x + h * e) - spec.grad(x - h * e)) / (2 * h)
+                            for e in np.eye(spec.dim)])
+        assert np.allclose(spec.hess(x), fd_hess, rtol=1e-5, atol=1e-7)
+        assert np.array_equal(spec.hess(np.zeros(spec.dim)), np.zeros((spec.dim, spec.dim)))
 
     def test_lp_grad_raises(self):
         # span_norm differentiates only norms not certified monotone; lp always is
         spec = NormSpec.lp(np.linspace(0.5, 2, 6), 3.0)
         assert spec.monotone
-        with pytest.raises(NotImplementedError, match="certified monotone"):
-            spec.grad(np.random.default_rng(4).standard_normal(spec.dim))
+        x = np.random.default_rng(4).standard_normal(spec.dim)
+        for derivative in (spec.grad, spec.hess):
+            with pytest.raises(NotImplementedError, match="certified monotone"):
+                derivative(x)
 
     def test_dual_grad_needs_p_two(self):
         spec = NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 3.0)
         x = np.random.default_rng(5).standard_normal(spec.dim)
         for point in (x, np.zeros(spec.dim)):
-            with pytest.raises(NotImplementedError, match="p = 2"):
-                spec.grad(point)
+            for derivative in (spec.grad, spec.hess):
+                with pytest.raises(NotImplementedError, match="p = 2"):
+                    derivative(point)
