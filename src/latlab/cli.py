@@ -276,7 +276,7 @@ def _run_pushin_audit(cfg: dict) -> list[dict]:
         pts = domain.points()
         rng = np.random.default_rng(cfg["seed"])
         # on 1-D domains the L^p error of S_n f - f for a smooth f must fall with n
-        smooth, errs = np.sin(np.pi * domain.axis(0)), []
+        smooth, errs, p = np.sin(np.pi * domain.axis(0)), [], cfg["order"]["p"]
         for n in ns:
             try:
                 op = PushinOperator(domain, n)
@@ -284,7 +284,11 @@ def _run_pushin_audit(cfg: dict) -> list[dict]:
                 raise UsageError(f"cannot build the charts of ns = {cfg['ns']!r}: {exc}") from exc
             if domain.d == 1:
                 diff = GridFunction(domain, op.matrix @ smooth - smooth)
-                errs.append(sobolev_grid.sobolev_norm(diff, 0, cfg["order"]["p"]))
+                errs.append(sobolev_grid.sobolev_norm(diff, 0, p))
+                # an L^p error that under- or overflows compares nothing
+                if not 0.0 < errs[-1] < math.inf and np.any(diff.values):
+                    raise UsageError(f"order.p = {p!r} is too large for the audit: the L^p "
+                                     f"error of S_n f - f is {errs[-1]:g} at n = {n}")
             outside = ~op.node_in_k(pts)
             worst_support, worst_neg = 0.0, 0.0
             for _ in range(cfg["samples"]):
@@ -458,8 +462,8 @@ def _run_renorm_audit(cfg: dict) -> list[dict]:
 
 # the W^{k,p} norms of normality-scan and pushin-audit need p > 1
 _SOBOLEV_RANGES = {
-    "order.p": (lambda v: v > 1,
-                "order.p = {!r} outside the allowed range: need a number > 1"),
+    "order.p": (lambda v: 1 < v < math.inf,
+                "order.p = {!r} outside the allowed range: need a finite number > 1"),
 }
 
 # "defaults" is each experiment's complete config schema, every field of which its
@@ -567,8 +571,8 @@ _RANGES = {
     "domains": (lambda v: all(kind in _AUDIT_DOMAINS for kind in v),
                 "domains = {!r} outside the allowed choices: " + ", ".join(_AUDIT_DOMAINS)),
     # extrapolation-demo runs its lp norms at p = 1
-    "order.p": (lambda v: v >= 1,
-                "order.p = {!r} outside the allowed range: need a number >= 1"),
+    "order.p": (lambda v: 1 <= v < math.inf,
+                "order.p = {!r} outside the allowed range: need a finite number >= 1"),
 }
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",

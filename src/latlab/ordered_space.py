@@ -86,27 +86,18 @@ def _interior_point_value(cone: PolyhedralCone) -> float:
 
 
 def cone_generators(cone: PolyhedralCone) -> np.ndarray:
-    """Extreme rays of a pointed solid cone, one per row.
+    """Extreme rays of a pointed solid cone, one per row, of unit length.
 
-    Enumerates the C(m, dim-1) subsets of active inequalities; exact for the
-    small dense systems the lab works with.
+    They are the vertices of the cone cut by c . x >= 1, as ``_vertices``
+    enumerates them, where c, the row sum of ``ineq``, is positive on every
+    nonzero point of the pointed cone.
     """
     A = cone.ineq
-    m, d = A.shape
-    rays = []
-    for rows in itertools.combinations(range(m), d - 1):
-        sub = A[list(rows)]
-        if np.linalg.matrix_rank(sub) != d - 1:
-            continue
-        _, _, vt = np.linalg.svd(sub)
-        v = vt[-1]
-        if np.all(A @ v >= -LP_TOL):
-            rays.append(v)
-        elif np.all(A @ (-v) >= -LP_TOL):
-            rays.append(-v)
-    if not rays:
+    m = len(A)
+    rays = _vertices(np.vstack([A, A.sum(axis=0)]), np.append(np.zeros(m), 1.0),
+                     np.full(m + 1, np.inf))
+    if not len(rays):
         raise DegenerateConeError("no extreme rays found")
-    rays = np.array(rays)
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     _, keep = np.unique(np.round(rays, 10), axis=0, return_index=True)
     return rays[np.sort(keep)]
@@ -122,10 +113,10 @@ def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     m, d = A.shape
     bounds = np.column_stack([lo, hi])
     blocks = [np.empty((0, d))]
-    for rows in map(list, itertools.combinations(range(m), d)):
-        if np.linalg.matrix_rank(A[rows]) == d:
-            rhs = np.array(list(itertools.product(*(b[np.isfinite(b)] for b in bounds[rows]))))
-            blocks.append(np.linalg.solve(A[rows], rhs.T).T)
+    subsets = np.array(list(itertools.combinations(range(m), d)), dtype=int).reshape(-1, d)
+    for rows in subsets[np.linalg.matrix_rank(A[subsets]) == d]:
+        rhs = np.array(list(itertools.product(*(b[np.isfinite(b)] for b in bounds[rows]))))
+        blocks.append(np.linalg.solve(A[rows], rhs.T).T)
     V = np.concatenate(blocks)
     AV = V @ A.T
     tol = LP_TOL * (1.0 + np.abs(AV))
@@ -404,10 +395,10 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
             seed: int = 0) -> FaceReport:
     """Sampled face test: search for 0 <= z <= g with g generated, z outside.
 
-    Sound on the sampled set; the search picks order-interval extreme points
-    (componentwise for the standard ambient cone, otherwise the minimizer of a
-    random objective over the enumerated vertices of [0, y]) and tests
-    membership in the generated cone by nonnegative least squares.
+    Sound on the sampled set; the search picks order-interval extreme points,
+    each the minimizer of a random objective over the vertices of [0, y] that
+    ``_vertices`` enumerates, and tests membership in the generated cone by
+    nonnegative least squares.
     """
     G = np.atleast_2d(np.asarray(image_generators, dtype=float))
     if G.shape[1] != ambient.dim:
@@ -416,26 +407,8 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
         if not ambient.contains(g, tol=1e-8):
             raise ValueError("generator outside the ambient cone")
     rng = np.random.default_rng(seed)
+    A = ambient.ineq
     checked = 0
-
-    def candidates_for(y):
-        nonlocal checked
-        if ambient.is_standard():
-            # box [0, y]: deterministic single-coordinate corners first
-            for i in range(ambient.dim):
-                z = np.zeros(ambient.dim)
-                z[i] = y[i]
-                yield z
-            while True:
-                mask = rng.integers(0, 2, size=ambient.dim).astype(float)
-                yield mask * y
-        else:
-            A = ambient.ineq
-            V = _vertices(A, np.zeros(A.shape[0]), A @ y)
-            if not len(V):
-                raise DegenerateConeError("order interval has no vertex; ambient not pointed")
-            while True:
-                yield V[np.argmin(V @ rng.standard_normal(ambient.dim))]
 
     # sample upper elements: the generators themselves, then random combos
     def upper_elements():
@@ -449,7 +422,11 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
     for y in upper_elements():
         if checked >= sample_size:
             break
-        for z in itertools.islice(candidates_for(y), per_y):
+        V = _vertices(A, np.zeros(len(A)), A @ y)
+        if not len(V):
+            raise DegenerateConeError("order interval has no vertex; ambient not pointed")
+        for _ in range(per_y):
+            z = V[np.argmin(V @ rng.standard_normal(ambient.dim))]
             checked += 1
             if np.linalg.norm(z) <= LP_TOL:
                 continue

@@ -17,7 +17,7 @@ import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import OrderedSpaceSpec
-from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, stacked_diff_operator
+from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, dual_norm_bound
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,10 @@ _ROUNDING = 8.0 * np.finfo(float).eps  # relative rounding a step's objective ma
 
 
 def _dual_norm_bound(norm, v) -> float:
-    """An upper bound on the dual norm sup{v . u : ||u|| <= 1} of a Sobolev norm or its dual.
-
-    For W^{k,p} the stacked operator S holds the identity block, so
-    ||u|| >= w^(1/p) ||u||_p and the bound is w^(-1/p) ||v||_q.  For
-    W^{-k,2} it is the exact dual norm sqrt(v^T K v / w) = ||S v|| / sqrt(w).
-    """
-    w = norm.domain.cell_measure
+    """``dual_norm_bound`` of v for W^{k,p}, at (0, p/(p-1)), or for W^{-k,2}, at (k, 2)."""
     if norm.kind == "dual_sobolev":
-        S, _ = stacked_diff_operator(norm.domain, norm.k)
-        return float(np.linalg.norm(S @ v)) / math.sqrt(w)
-    top = float(np.max(np.abs(v)))
-    if top == 0.0:
-        return 0.0
-    q = norm.p / (norm.p - 1.0)
-    return w ** (-1.0 / norm.p) * top * float(np.sum((np.abs(v) / top) ** q)) ** (1.0 / q)
+        return dual_norm_bound(norm.domain, norm.k, 2.0, v)
+    return dual_norm_bound(norm.domain, 0, norm.p / (norm.p - 1.0), v)
 
 
 def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
@@ -189,10 +178,8 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
 class RenormBoundsReport:
     base_norm: float
     renorm: float
-    bound_low: float      # 2M * renorm, must dominate the base norm
-    bound_high: float     # 2M^2C * base norm, must dominate the renorm
-    slack_low: float
-    slack_high: float
+    slack_low: float      # 2M * renorm - base norm
+    slack_high: float     # 2M^2C * base norm - renorm
     passed: bool
 
 
@@ -212,7 +199,7 @@ def renorm_bounds_check(base: float, renorm: float, M: float, C: float) -> Renor
     slack_high = high - renorm
     passed = (slack_low >= -_RENORM_BOUNDS_TOL * (1.0 + low)
               and slack_high >= -_RENORM_BOUNDS_TOL * (1.0 + high))
-    return RenormBoundsReport(base, renorm, low, high, slack_low, slack_high, passed)
+    return RenormBoundsReport(base, renorm, slack_low, slack_high, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,14 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
     ("extrapolation-demo", {"order": {"p": 0.5}}, "order.p = 0.5 outside"),
     ("normality-scan", {"order": {"p": 1}}, "order.p = 1 outside"),
     ("pushin-audit", {"order": {"p": 1}}, "order.p = 1 outside"),
+    ("pushin-audit", {"order": {"p": float("inf")}}, "order.p = inf outside"),
+    ("normality-scan", {"order": {"p": float("inf")}}, "order.p = inf outside"),
+    ("extrapolation-demo", {"order": {"p": float("inf")}}, "order.p = inf outside"),
+    # S_n f != f, but its L^p error underflows to 0 at n = 8 (p = 1000) or 4 (p = 2000)
+    ("pushin-audit", {"order": {"p": 1000}},
+     "order.p = 1000 is too large for the audit: the L^p error of S_n f - f is 0 at n = 8"),
+    ("pushin-audit", {"order": {"p": 2000}},
+     "order.p = 2000 is too large for the audit: the L^p error of S_n f - f is 0 at n = 4"),
     ("mollifier-rate", {"deltas": [0.002, 0.001]}, "deltas = [0.002, 0.001] too fine"),
     ("renorm-audit", {"spaces": ["l2-dim8", "l2-dim8"]},
      "config field spaces repeats the entry 'l2-dim8'"),
@@ -410,7 +418,9 @@ def test_unknown_choice_is_rejected_before_any_run(raw, message):
      "its supremum cannot converge below 1e-9"),
 ], ids=["config-not-object", "eps-zero", "h_divisor-zero", "delta-zero", "ns-one",
         "order-k-negative", "orders-zero", "pushin-p-half", "normality-p-half",
-        "extrapolation-p-half", "normality-p-one", "pushin-p-one", "delta-below-grid",
+        "extrapolation-p-half", "normality-p-one", "pushin-p-one", "pushin-p-infinite",
+        "normality-p-infinite", "extrapolation-p-infinite", "pushin-error-underflow-p1000",
+        "pushin-error-underflow-p2000", "delta-below-grid",
         "repeated-space", "repeated-chart-domain", "repeated-pushin-domain",
         "repeated-order", "repeated-delta", "repeated-eps", "repeated-index",
         "chart-samples-negative", "chart-samples-zero", "single-delta", "single-eps",

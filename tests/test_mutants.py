@@ -30,3 +30,20 @@ def test_extrapolation_norm_off_by_a_relative_1e9(monkeypatch, tmp_path):
     assert _failed_cases("extrapolation-demo", tmp_path) == [
         "multiplication-identity-m013", "multiplication-identity-rand1",
         "multiplication-identity-rand2", "multiplication-sqrt21-over-4"]
+
+
+def test_dense_resolvent_with_a_negative_entry(monkeypatch, tmp_path):
+    # plants a negative entry in each dense resolvent, the product of a
+    # resolvent operator with the N x N identity; the rows that read them
+    # must fail in a written report, not end the run in a traceback
+    class Planted(extrapolation.ResolventOperator):
+        def _matmat(self, X):
+            Y = super()._matmat(X)
+            if X.shape == self.shape:
+                Y[0, -1] = -1e-6
+            return Y
+
+    monkeypatch.setattr(extrapolation, "ResolventOperator", Planted)
+    assert _failed_cases("extrapolation-demo", tmp_path) == [
+        "neumann-resolvent-positivity-mu1", "neumann-resolvent-positivity-mu2",
+        "resolvent-identity"]

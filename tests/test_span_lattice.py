@@ -143,7 +143,7 @@ class TestSpanNorm:
             span_norm(space, np.array([1.0, -1.0]))
 
     @given(st.integers(0, 10 ** 6))
-    @example(241)  # the W^{2,2} vector's first L-BFGS-B solve stalls uncertified
+    @example(241)  # the W^{2,2} vector takes 24 Newton steps and ~280 step halvings
     @settings(max_examples=25, deadline=None)
     def test_sobolev_span_norm_feasible(self, seed):
         rng = np.random.default_rng(seed)
@@ -154,9 +154,11 @@ class TestSpanNorm:
             res = span_norm(space, x)
             assert np.all(res.y >= 0) and np.all(res.z >= 0)
             assert np.max(np.abs(res.y - res.z - x)) <= 1e-12
+            assert res.value - res.lower <= 1e-8 * res.value
             if np.all(x >= 0) or np.all(x <= 0):
                 continue  # on the cone (or its negative) no solve runs
-            # KKT: s = min(y, z) >= 0 and the gradient is >= 0, = 0 where s > 0
+            # the duality gap stops the solve; the point also meets KKT:
+            # s = min(y, z) >= 0 and the gradient is >= 0, = 0 where s > 0
             s = np.minimum(res.y, res.z)
             g = space.norm.grad(res.y) + space.norm.grad(res.z)
             assert np.max(np.abs(np.minimum(s, g))) <= 1e-6 * (1.0 + res.value)
