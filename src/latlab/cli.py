@@ -259,7 +259,10 @@ def _run_boundary_chart_audit(cfg: dict) -> list[dict]:
             violations, witness = 0, None
             for n in ns:
                 img = chart.apply(n, pts)
-                bad = ~np.all((img > lo) & (img < hi), axis=1)
+                inside = np.ones(samples, dtype=bool)
+                for i in range(domain.d):  # img is column-major: each axis is contiguous
+                    inside &= (img[:, i] > lo[i]) & (img[:, i] < hi[i])
+                bad = ~inside
                 if bad.any() and witness is None:
                     witness = {"n": n, "sample": list(pts[bad][0])}
                 violations += int(bad.sum())

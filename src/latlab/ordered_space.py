@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -37,11 +37,15 @@ class PolyhedralCone:
     """Cone {x : ineq @ x >= 0 componentwise} in inequality form.
 
     Pointedness is certified at construction by a rank test: the lineality
-    space of {ineq @ x >= 0} is the kernel of ``ineq``.
+    space of {ineq @ x >= 0} is the kernel of ``ineq``.  Whether ``ineq`` is
+    the identity, so that the cone is the standard one, is decided once at
+    construction with no second N x N array; membership in the standard cone
+    tests ``x >= -tol`` with no matrix product.
     """
 
     dim: int
     ineq: np.ndarray
+    _standard: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ineq = np.atleast_2d(np.asarray(self.ineq, dtype=float))
@@ -51,7 +55,11 @@ class PolyhedralCone:
             )
         ineq.setflags(write=False)
         object.__setattr__(self, "ineq", ineq)
-        if not self.is_standard() and np.linalg.matrix_rank(ineq) < self.dim:
+        # the identity has exactly dim nonzeros, all of them on a unit diagonal
+        standard = (ineq.shape == (self.dim, self.dim) and np.count_nonzero(ineq) == self.dim
+                    and bool(np.all(ineq.diagonal() == 1.0)))
+        object.__setattr__(self, "_standard", standard)
+        if not standard and np.linalg.matrix_rank(ineq) < self.dim:
             raise DegenerateConeError("inequality system has nontrivial lineality space")
 
     @classmethod
@@ -59,15 +67,13 @@ class PolyhedralCone:
         return cls(dim, np.eye(dim))
 
     def is_standard(self) -> bool:
-        return self.ineq.shape == (self.dim, self.dim) and np.array_equal(
-            self.ineq, np.eye(self.dim)
-        )
+        return self._standard
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got shape {x.shape}")
-        return bool(np.all(self.ineq @ x >= -tol))
+        return bool(np.all((x if self._standard else self.ineq @ x) >= -tol))
 
 
 def _interior_point_value(cone: PolyhedralCone) -> float:
@@ -107,17 +113,35 @@ def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vertices of {z : lo <= A z <= hi} as rows; a bound may be infinite.
 
     Solves A_S z = b_S on each full-rank subset S of the C(m, d) subsets of d
-    rows, with b_i a finite bound of row i, and keeps the feasible solutions.
-    A degenerate vertex appears once per subset that pins it.
+    rows, with b_i a finite bound of row i picked in ``itertools.product``
+    order, and keeps the feasible solutions in subset order.  A subset with a
+    row that has no finite bound pins no vertex.  The subsets that share a
+    pick count are solved in one stacked ``np.linalg.solve``, and each
+    system is the one a per-subset solve would see, so the rows come out the
+    same to the bit.  A degenerate vertex appears once per subset that pins it.
     """
-    m, d = A.shape
+    d = A.shape[1]
     bounds = np.column_stack([lo, hi])
-    blocks = [np.empty((0, d))]
-    subsets = np.array(list(itertools.combinations(range(m), d)), dtype=int).reshape(-1, d)
-    for rows in subsets[np.linalg.matrix_rank(A[subsets]) == d]:
-        rhs = np.array(list(itertools.product(*(b[np.isfinite(b)] for b in bounds[rows]))))
-        blocks.append(np.linalg.solve(A[rows], rhs.T).T)
-    V = np.concatenate(blocks)
+    finite = np.isfinite(bounds)
+    # each row's finite bounds first: [lo, hi], [lo, inf] or [hi, -inf]
+    picks = np.where(finite[:, :1], bounds, bounds[:, ::-1])
+    pinning = np.flatnonzero(finite.any(axis=1))
+    subsets = np.array(list(itertools.combinations(pinning, d)), dtype=int).reshape(-1, d)
+    subsets = subsets[np.linalg.matrix_rank(A[subsets]) == d]
+    counts = finite.sum(axis=1)[subsets]
+    sizes = counts.prod(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    V = np.empty((sizes.sum(), d))
+    for size in set(sizes.tolist()):
+        group = sizes == size
+        # pick j of a subset takes bound j // stride_r % count_r of its row r,
+        # where stride_r is the product of the counts of the rows after r
+        k = counts[group]
+        stride = np.cumprod(k[:, ::-1], axis=1)[:, ::-1] // k
+        j = np.arange(size)[None, :, None]
+        rhs = picks[subsets[group][:, None, :], j // stride[:, None, :] % k[:, None, :]]
+        solved = np.linalg.solve(A[subsets[group]], rhs.transpose(0, 2, 1))
+        V[starts[group][:, None] + np.arange(size)] = solved.transpose(0, 2, 1)
     AV = V @ A.T
     tol = LP_TOL * (1.0 + np.abs(AV))
     return V[np.all((AV >= lo - tol) & (AV <= hi + tol), axis=1)]

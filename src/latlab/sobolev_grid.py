@@ -455,20 +455,35 @@ class BoundaryChart:
         return factors, c * (1.0 - factors)
 
     def apply(self, n: int, pts: np.ndarray) -> np.ndarray:
+        """A_n on each row of ``pts``, one axis at a time: pts[:, i] * B[i] + b[i].
+
+        Each axis is one pass over all points with a scalar factor and shift,
+        rounded as ``pts * B + b`` rounds, whose broadcast would run its inner
+        loop over the d axes of each point instead.  The result is
+        column-major, so each axis of it is contiguous for per-axis tests.
+        """
         B, b = self.matrix(n)
-        return np.atleast_2d(pts) * B + b
+        pts = np.atleast_2d(pts)
+        out = np.empty(pts.shape, order="F")
+        for i in range(len(B)):
+            out[:, i] = pts[:, i] * B[i] + b[i]
+        return out
 
     def apply_inverse(self, n: int, pts: np.ndarray) -> np.ndarray:
+        """A_n^{-1} on each row of ``pts`` as ``apply`` maps: (pts[:, i] - b[i]) / B[i]."""
         B, b = self.matrix(n)
-        return (np.atleast_2d(pts) - b) / B
+        pts = np.atleast_2d(pts)
+        out = np.empty(pts.shape, order="F")
+        for i in range(len(B)):
+            out[:, i] = (pts[:, i] - b[i]) / B[i]
+        return out
 
     def image_box(self, n: int, domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
         """Closure of A_n(domain ∩ V), exact for box data."""
         lo = np.maximum(np.asarray(self.v_lo), np.asarray(domain.lo))
         hi = np.minimum(np.asarray(self.v_hi), np.asarray(domain.hi))
-        a = self.apply(n, lo[None, :])[0]
-        b = self.apply(n, hi[None, :])[0]
-        return np.minimum(a, b), np.maximum(a, b)
+        corners = self.apply(n, np.array([lo, hi]))
+        return corners.min(axis=0), corners.max(axis=0)
 
 
 def build_boundary_chart(

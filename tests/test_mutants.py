@@ -7,9 +7,12 @@ depend on the broken function marked FAIL.
 """
 
 import csv
+import json
 from pathlib import Path
 
-from latlab import extrapolation
+import numpy as np
+
+from latlab import extrapolation, sobolev_grid
 from latlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -47,3 +50,22 @@ def test_dense_resolvent_with_a_negative_entry(monkeypatch, tmp_path):
     assert _failed_cases("extrapolation-demo", tmp_path) == [
         "neumann-resolvent-positivity-mu1", "neumann-resolvent-positivity-mu2",
         "resolvent-identity"]
+
+
+def test_boundary_charts_that_expand(monkeypatch, tmp_path):
+    # the compressed axes of every chart expand by 1 + 1/n and the exact
+    # containment certificate is skipped, so the charts push samples out of
+    # the domain; the sampled per-axis membership test must catch each chart
+    def expanding(self, n):
+        factors = np.where(np.asarray(self.compress), 1.0 + 1.0 / n, 1.0)
+        return factors, np.asarray(self.c) * (1.0 - factors)
+
+    monkeypatch.setattr(sobolev_grid, "_verify_chart_containment", lambda *args: None)
+    monkeypatch.setattr(sobolev_grid.BoundaryChart, "matrix", expanding)
+    assert _failed_cases("boundary-chart-audit", tmp_path) == [
+        *(f"interval-chart{i}" for i in range(3)), *(f"rectangle-chart{i}" for i in range(9))]
+    (csv_path,) = tmp_path.glob("*.csv")
+    for row in csv.DictReader(csv_path.read_text().splitlines()[1:]):
+        witness = json.loads(row["witness"])
+        assert list(witness) == ["n", "sample"] and witness["n"] in (2, 4, 8)
+        assert len(witness["sample"]) == (1 if row["domain"] == "interval" else 2)

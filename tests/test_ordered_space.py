@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latlab.cli import estimate_renorm_constants
 from latlab.ordered_space import (
@@ -64,6 +66,30 @@ class TestConeContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             PolyhedralCone.standard(3).contains(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("ineq", [
+        np.eye(4),
+        2.0 * np.eye(4),
+        np.eye(4)[[1, 0, 3, 2]],
+        np.where(np.eye(4) == 1.0, 1.0, -0.0),
+        np.array([[1.0, 0.0], [1.0, 1.0]]),
+    ], ids=["identity", "twice-identity", "permuted-identity", "negative-zero-off-diagonal",
+            "triangular"])
+    def test_standard_test_and_membership_agree_with_the_matrix(self, ineq):
+        cone = PolyhedralCone(len(ineq), ineq)
+        assert cone.is_standard() == np.array_equal(ineq, np.eye(len(ineq)))
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            # magnitudes from 1e-11 to 1, so that some entries sit at -CONE_TOL
+            x = rng.standard_normal(len(ineq)) * 10.0 ** rng.integers(-11, 1, len(ineq))
+            assert cone.contains(x) == bool(np.all(ineq @ x >= -CONE_TOL))
+
+    def test_nan_off_the_diagonal_is_not_standard(self):
+        # array_equal(ineq, eye) is False, so the rank test runs and meets the NaN
+        ineq = np.eye(3)
+        ineq[0, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            PolyhedralCone(3, ineq)
 
 
 class TestPointedness:
@@ -158,6 +184,50 @@ class TestVertexMinimum:
                         bounds=[(None, None)] * d, method="highs")
                     assert res.status == 0
                     assert abs(np.min(V @ c) - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+
+def per_subset_vertices(A, lo, hi):
+    # one solve per full-rank subset of d rows, its right-hand sides the
+    # finite bounds of its rows in itertools.product order
+    m, d = A.shape
+    blocks = [np.empty((0, d))]
+    for rows in map(list, itertools.combinations(range(m), d)):
+        finite = [[b for b in (lo[i], hi[i]) if np.isfinite(b)] for i in rows]
+        if np.linalg.matrix_rank(A[rows]) < d or not all(finite):
+            continue
+        rhs = np.array(list(itertools.product(*finite)))
+        blocks.append(np.linalg.solve(A[rows], rhs.T).T)
+    V = np.concatenate(blocks)
+    AV = V @ A.T
+    tol = LP_TOL * (1.0 + np.abs(AV))
+    return V[np.all((AV >= lo - tol) & (AV <= hi + tol), axis=1)]
+
+
+class TestVertices:
+    def test_free_row_pins_no_vertex(self):
+        assert _vertices(np.eye(2), np.array([0.0, -np.inf]), np.array([1.0, np.inf])).shape \
+            == (0, 2)
+
+    def test_free_row_leaves_the_square_its_corners(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        V = _vertices(A, np.array([0.0, 0.0, -np.inf]), np.array([1.0, 1.0, np.inf]))
+        assert V.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_subset_enumeration(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        m = data.draw(st.integers(1, d + 3), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        A = rng.standard_normal((m, d))
+        lo = rng.uniform(-2.0, 0.0, m)
+        hi = lo + rng.uniform(0.5, 2.0, m)
+        lo[data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="free lo")] = -np.inf
+        hi[data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="free hi")] = np.inf
+        # each subset is solved as the same system with the same right-hand
+        # sides, also where rows have different numbers of finite bounds
+        V, expected = _vertices(A, lo, hi), per_subset_vertices(A, lo, hi)
+        assert V.shape == expected.shape and np.array_equal(V, expected)
 
 
 class TestSupremumOracle:

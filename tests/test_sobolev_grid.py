@@ -334,6 +334,10 @@ class TestBoundaryChart:
         for n in ns:
             img = chart.apply(n, pts)
             assert np.all((img > dom.lo) & (img < dom.hi)), n
+            # the per-axis maps round as the broadcast formulas do
+            B, b = chart.matrix(n)
+            assert np.array_equal(img, pts * B + b)
+            assert np.array_equal(chart.apply_inverse(n, pts), (pts - b) / B)
 
     def test_image_touching_the_boundary_rejected(self):
         dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 16)
