@@ -416,8 +416,10 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
     The witness family per sample x: the positive parts against |x|, the
     exact renorm maximizer against |x|, and the positive parts against the
     minimizing span decomposition.  Zero samples bound neither constant and
-    are skipped.  The third result holds (||x||, |||x|||) for every sample in
-    order, the inputs of ``renorm_bounds_check``.
+    are skipped, and so are witness pairs whose upper element has norm 0,
+    found with one ``value_many`` call.  ||x|| and |||x||| come from the
+    scalar ``value`` and ``renorm_value``; the third result holds them for
+    every sample in order, the inputs of ``renorm_bounds_check``.
     """
     witnesses, span_ratios, norms = [], [], []
     for x in xs:
@@ -433,7 +435,8 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
         span_ratios.append(dec.value / nx)
     if not span_ratios:
         raise ValueError("all samples were zero")
-    witnesses = [(a, b) for a, b in witnesses if space.norm.value(b) > 0]
+    keep = space.norm.value_many([b for _, b in witnesses]) > 0
+    witnesses = [pair for pair, kept in zip(witnesses, keep) if kept]
     return normality_constant_lower_bound(space, witnesses), max(span_ratios), norms
 
 

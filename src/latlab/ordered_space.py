@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +35,12 @@ class DegenerateConeError(ValueError):
 class PolyhedralCone:
     """Cone {x : ineq @ x >= 0 componentwise} in inequality form.
 
-    Pointedness is certified at construction by a rank test: the lineality
-    space of {ineq @ x >= 0} is the kernel of ``ineq``.  Whether ``ineq`` is
-    the identity, so that the cone is the standard one, is decided once at
-    construction with no second N x N array; membership in the standard cone
-    tests ``x >= -tol`` with no matrix product.
+    Every entry of ``ineq`` must be finite.  Pointedness is certified at
+    construction by a rank test: the lineality space of {ineq @ x >= 0} is
+    the kernel of ``ineq``.  Whether ``ineq`` is the identity, so that the
+    cone is the standard one, is decided once at construction with no
+    second N x N array; membership in the standard cone tests ``x >= -tol``
+    with no matrix product.
     """
 
     dim: int
@@ -59,7 +59,14 @@ class PolyhedralCone:
         standard = (ineq.shape == (self.dim, self.dim) and np.count_nonzero(ineq) == self.dim
                     and bool(np.all(ineq.diagonal() == 1.0)))
         object.__setattr__(self, "_standard", standard)
-        if not standard and np.linalg.matrix_rank(ineq) < self.dim:
+        if standard:
+            return
+        # a NaN or inf would reach the rank test as an SVD failure or a wrong verdict
+        bad = np.argwhere(~np.isfinite(ineq))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"inequality matrix entry ({i}, {j}) is {ineq[i, j]}, not finite")
+        if np.linalg.matrix_rank(ineq) < self.dim:
             raise DegenerateConeError("inequality system has nontrivial lineality space")
 
     @classmethod
@@ -70,10 +77,11 @@ class PolyhedralCone:
         return self._standard
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
+        """Whether the vector x, or every row of the stack x, lies in the cone."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {x.shape}")
-        return bool(np.all((x if self._standard else self.ineq @ x) >= -tol))
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"expected vectors of length {self.dim}, got shape {x.shape}")
+        return bool(np.all((x if self._standard else self.ineq @ x.T) >= -tol))
 
 
 def _interior_point_value(cone: PolyhedralCone) -> float:
@@ -178,9 +186,11 @@ class NormSpec:
 
     The Sobolev kinds carry the grid they live on.  Weighted lp admits
     p = 1 as well (the decomposition examples need it); the Sobolev kinds
-    require p strictly between 1 and infinity.  ``monotone`` certifies
-    ||u|| <= ||v|| for 0 <= u <= v, which gives the span norm and the
-    renorm in closed form.
+    require p strictly between 1 and infinity and an order k the grid
+    resolves.  Construction checks homogeneity, the triangle inequality and
+    finiteness on seeded random samples, all evaluated in one ``value_many``
+    call.  ``monotone`` certifies ||u|| <= ||v|| for 0 <= u <= v, which
+    gives the span norm and the renorm in closed form.
     """
 
     kind: str                                # "lp" | "sobolev" | "dual_sobolev"
@@ -207,6 +217,8 @@ class NormSpec:
                 raise ValueError("Sobolev norms need p strictly between 1 and infinity")
             if self.kind == "dual_sobolev" and self.k < 1:
                 raise ValueError("dual Sobolev norm needs k >= 1")
+            # value_many skips the check that the scalar Sobolev norms make
+            sobolev_grid.check_grid_order(self.domain, self.k)
         else:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         self._sampled_norm_checks()
@@ -294,22 +306,22 @@ class NormSpec:
     def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)
         scale_tol = 1e-8
-        for _ in range(_NORM_CHECK_SAMPLES):
-            x = rng.standard_normal(self.dim)
-            y = rng.standard_normal(self.dim)
-            # inf would pass both checks below: an overflow raises instead of
-            # warning, and any non-finite value fails as one
-            try:
-                with np.errstate(over="raise"):
-                    nx, ny, n2x, nxy = (self.value(v) for v in (x, y, 2.0 * x, x + y))
-                if not all(map(math.isfinite, (nx, ny, n2x, nxy))):
-                    raise FloatingPointError("norm value is not finite")
-            except FloatingPointError as exc:
-                raise ValueError(f"norm is not finite on a sample: {exc}") from exc
-            if abs(n2x - 2.0 * nx) > scale_tol * (1.0 + nx):
-                raise ValueError("norm failed the sampled homogeneity check")
-            if nxy > nx + ny + scale_tol * (1.0 + nx + ny):
-                raise ValueError("norm failed the sampled triangle inequality")
+        # the stream of a loop drawing x, then y, per sample
+        x, y = rng.standard_normal((_NORM_CHECK_SAMPLES, 2, self.dim)).transpose(1, 0, 2)
+        # inf would pass both checks below: an overflow raises instead of
+        # warning, and any non-finite value fails as one
+        try:
+            with np.errstate(over="raise"):
+                values = self.value_many(np.concatenate([x, y, 2.0 * x, x + y]))
+            if not np.all(np.isfinite(values)):
+                raise FloatingPointError("norm value is not finite")
+        except FloatingPointError as exc:
+            raise ValueError(f"norm is not finite on a sample: {exc}") from exc
+        nx, ny, n2x, nxy = values.reshape(4, _NORM_CHECK_SAMPLES)
+        if np.any(np.abs(n2x - 2.0 * nx) > scale_tol * (1.0 + nx)):
+            raise ValueError("norm failed the sampled homogeneity check")
+        if np.any(nxy > nx + ny + scale_tol * (1.0 + nx + ny)):
+            raise ValueError("norm failed the sampled triangle inequality")
 
 
 @dataclass(frozen=True)
@@ -384,24 +396,25 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, seed: int = 0):
 def normality_constant_lower_bound(space: OrderedSpaceSpec, witnesses) -> float:
     """max ||x|| / ||y|| over witness pairs with 0 <= x <= y.
 
-    A certified lower bound for the normality constant M.
+    A certified lower bound for the normality constant M.  The pairs are
+    stacked: cone membership of every x and of every y - x is one
+    ``PolyhedralCone.contains`` test each, and the norms of the x and of
+    the y are one ``value_many`` call each.
     """
     witnesses = list(witnesses)
     if not witnesses:
         raise ValueError("need at least one witness pair")
-    best = 0.0
-    for x, y in witnesses:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not space.cone.contains(x):
-            raise ValueError("witness x is not in the cone")
-        if not space.cone.contains(y - x):
-            raise ValueError("witness pair violates x <= y")
-        ny = space.norm.value(y)
-        if ny <= 0.0:
-            raise ValueError("witness y must be nonzero")
-        best = max(best, space.norm.value(x) / ny)
-    return best
+    X, Y = (np.array(side, dtype=float) for side in zip(*witnesses))
+    if X.shape != Y.shape or X.shape[1:] != (space.dim,):
+        raise ValueError(f"expected witness vectors of length {space.dim}")
+    if not space.cone.contains(X):
+        raise ValueError("witness x is not in the cone")
+    if not space.cone.contains(Y - X):
+        raise ValueError("witness pair violates x <= y")
+    ny = space.norm.value_many(Y)
+    if np.any(ny <= 0.0):
+        raise ValueError("witness y must be nonzero")
+    return float(np.max(space.norm.value_many(X) / ny))
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,24 @@ class GridFunction:
 
 @functools.lru_cache(maxsize=128)
 def _diff_1d(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matrix:
-    # Forward differences; the last row of the non-periodic operator repeats
-    # the backward difference so D stays square and kills constants exactly.
-    D = scipy.sparse.diags([-1.0, 1.0], [0, 1], shape=(n, n)).tolil()
+    """Forward differences (f[i+1] - f[i]) / h as an n x n CSR matrix with 2n entries.
+
+    The last row of the non-periodic operator repeats the backward
+    difference, so D stays square and kills constants exactly; the periodic
+    one wraps to node 0.  The CSR arrays are written directly, with sorted
+    column indices in every row.
+    """
+    step = 1.0 / h
+    cols = np.arange(n, dtype=np.int32)
+    indices = np.column_stack([cols, cols + 1]).ravel()
+    data = np.tile([-step, step], n)
     if periodic:
-        D[n - 1, 0] = 1.0
+        indices[-2:] = (0, n - 1)
+        data[-2:] = (step, -step)
     else:
-        D[n - 1, :] = 0.0
-        D[n - 1, n - 2] = -1.0
-        D[n - 1, n - 1] = 1.0
-    return (D / h).tocsr()
+        indices[-2:] = (n - 2, n - 1)
+    indptr = np.arange(0, 2 * n + 1, 2, dtype=np.int32)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @functools.lru_cache(maxsize=128)
@@ -237,12 +245,13 @@ def _dense_stacked_diff_operator(domain: GridDomain, k: int) -> np.ndarray:
 
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: p-sum of f and its differences up to order k."""
-    _check_grid_order(f.domain, k)
+    check_grid_order(f.domain, k)
     _check_p(p)
     return float(sobolev_norms(f.domain, k, p, f.values))
 
 
-def _check_grid_order(domain: GridDomain, k: int) -> None:
+def check_grid_order(domain: GridDomain, k: int) -> None:
+    """Reject k < 0 and an order the n-point grid cannot resolve (k > n - 2)."""
     if k < 0:
         raise ValueError("order k must be nonnegative")
     if k > domain.n - 2:
@@ -294,7 +303,7 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     """
     if k < 1:
         raise ValueError("negative order requires k >= 1")
-    _check_grid_order(g.domain, k)
+    check_grid_order(g.domain, k)
     _check_p(p)
     if p == 2.0:
         return negative_sobolev_value_grad(g.domain, k, g.values)[0]
@@ -763,7 +772,7 @@ def positive_dominant_w0(f: GridFunction, k: int) -> GridFunction:
         raise ValueError("positive dominant construction is one-dimensional")
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_grid_order(f.domain, k)
+    check_grid_order(f.domain, k)
     h = f.domain.h
     D = diff_operator(f.domain, (1,))
     derivs = [f.values]

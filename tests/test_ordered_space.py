@@ -85,11 +85,20 @@ class TestConeContains:
             assert cone.contains(x) == bool(np.all(ineq @ x >= -CONE_TOL))
 
     def test_nan_off_the_diagonal_is_not_standard(self):
-        # array_equal(ineq, eye) is False, so the rank test runs and meets the NaN
+        # not taken as the identity, and named before the rank test, whose SVD fails on a NaN
         ineq = np.eye(3)
         ineq[0, 2] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) is nan, not finite") as info:
             PolyhedralCone(3, ineq)
+        assert not isinstance(info.value, DegenerateConeError)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_is_named_not_read_as_a_lineality_space(self, bad):
+        ineq = np.eye(3)
+        ineq[2, 0] = bad
+        with pytest.raises(ValueError, match=r"entry \(2, 0\) is -?inf, not finite") as info:
+            PolyhedralCone(3, ineq)
+        assert not isinstance(info.value, DegenerateConeError)
 
 
 class TestPointedness:
@@ -333,6 +342,44 @@ class TestNormalityConstant:
             normality_constant_lower_bound(
                 l2_space(2), [(np.array([1.0, 0.0]), np.array([0.5, 1.0]))])
 
+    @staticmethod
+    def _per_pair_bound(space, witnesses):
+        # the reference: one pair at a time, through contains and the scalar value
+        best = 0.0
+        for x, y in witnesses:
+            assert space.cone.contains(x) and space.cone.contains(y - x)
+            best = max(best, space.norm.value(x) / space.norm.value(y))
+        return best
+
+    @pytest.mark.parametrize("make", [
+        lambda: OrderedSpaceSpec.standard_lp(np.linspace(0.5, 2.0, 6), 3.0),
+        lambda: OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+        lambda: OrderedSpaceSpec(3, ice_cream_cone(), NormSpec.lp(np.ones(3), 2.0)),
+    ], ids=["lp", "w12", "ice-cream-cone"])
+    def test_batched_bound_matches_the_per_pair_loop(self, make):
+        space = make()
+        G = cone_generators(space.cone)
+        rng = np.random.default_rng(11)
+        witnesses = []
+        for _ in range(40):
+            x = rng.uniform(0.0, 1.0, len(G)) @ G
+            witnesses.append((x, x + rng.uniform(0.0, 1.0, len(G)) @ G))
+        batched = normality_constant_lower_bound(space, witnesses)
+        expected = self._per_pair_bound(space, witnesses)
+        assert abs(batched - expected) <= 1e-15 * expected
+
+    def test_each_error_names_its_defect(self):
+        space = OrderedSpaceSpec(3, ice_cream_cone(), NormSpec.lp(np.ones(3), 2.0))
+        good = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 2.0]))
+        outside = np.array([1.0, 0.0, 0.5])  # x3 < |x1|
+        for defect, pair in (("not in the cone", (outside, 2.0 * good[1])),
+                             ("violates x <= y", (good[1], good[0])),
+                             ("must be nonzero", (np.zeros(3), np.zeros(3)))):
+            with pytest.raises(ValueError, match=defect):
+                normality_constant_lower_bound(space, [good, pair])
+        with pytest.raises(ValueError, match="at least one"):
+            normality_constant_lower_bound(space, [])
+
 
 class TestDecompositionConstant:
     def test_l1_decomposition_is_additive(self):
@@ -466,6 +513,36 @@ class TestNormSpec:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="norm is not finite on a sample"):
                 make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: NormSpec.lp(np.linspace(0.5, 2.0, 10), 3.0),
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 8), 1, 2.0),
+        lambda: NormSpec.sobolev(GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 5), 2, 3.0),
+        lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 10), 1, 2.0),
+    ], ids=["lp", "sobolev-interval", "sobolev-rectangle", "dual-sobolev"])
+    def test_construction_checks_in_one_batch(self, make, monkeypatch):
+        calls = {"value": 0, "value_many": 0}
+
+        def counted(name):
+            method = getattr(NormSpec, name)
+
+            def wrapper(self, x):
+                calls[name] += 1
+                return method(self, x)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(NormSpec, name, counted(name))
+        make()
+        assert calls == {"value": 0, "value_many": 1}
+
+    @pytest.mark.parametrize("kind", ["sobolev", "dual_sobolev"])
+    def test_order_above_the_grid_fails_at_construction(self, kind):
+        domain = GridDomain.interval(0.0, 1.0, 5)
+        make = getattr(NormSpec, kind)
+        make(domain, 3, 2.0)
+        with pytest.raises(ValueError, match="order k=4 too large for 5-point grid"):
+            make(domain, 4, 2.0)
 
     def test_lp_allows_p_equal_one(self):
         spec = NormSpec.lp(np.ones(3), 1.0)

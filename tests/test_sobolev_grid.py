@@ -111,6 +111,26 @@ class TestSobolevNorm:
                 expected, rel=1e-14)
 
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+    @pytest.mark.parametrize("n", [3, 4, 8, 513])
+    def test_diff_1d_is_the_dense_forward_difference(self, n, periodic):
+        h = 1.0 / 7.0
+        step = 1.0 / h
+        dense = np.zeros((n, n))
+        for i in range(n - 1):
+            dense[i, i], dense[i, i + 1] = -step, step
+        if periodic:
+            dense[n - 1, n - 1], dense[n - 1, 0] = -step, step
+        else:
+            dense[n - 1, n - 2], dense[n - 1, n - 1] = -step, step
+        D = sobolev_grid._diff_1d(n, h, periodic)
+        assert isinstance(D, scipy.sparse.csr_matrix) and D.shape == (n, n)
+        assert np.array_equal(D.toarray(), dense)
+        assert D.nnz == 2 * n and np.all(D.data != 0.0)
+        assert D.has_sorted_indices
+        for row in np.split(D.indices, D.indptr[1:-1]):
+            assert np.all(np.diff(row) > 0)
+
     def test_rectangle_diff_operator_is_kron_of_dense_powers(self):
         dom = GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 7)
         n, h = dom.n, dom.h

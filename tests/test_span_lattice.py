@@ -246,12 +246,14 @@ class TestSpanNorm:
         def forbidden(*args, **kwargs):
             raise AssertionError("a certified monotone norm takes the closed forms")
 
+        # built first: construction checks the norm through value_many
+        spaces = (OrderedSpaceSpec.standard_lp(np.linspace(0.5, 2.0, 6), 3.0),
+                  dual_space(GridDomain.interval(0.0, 1.0, 6)),
+                  dual_space(GridDomain.torus(1.0, 6)))
         monkeypatch.setattr(NormSpec, "hess", forbidden)
         monkeypatch.setattr(NormSpec, "value_many", forbidden)
         x = np.array([1.0, -2.0, 0.5, -0.25, 3.0, -1.0])
-        for space in (OrderedSpaceSpec.standard_lp(np.linspace(0.5, 2.0, 6), 3.0),
-                      dual_space(GridDomain.interval(0.0, 1.0, 6)),
-                      dual_space(GridDomain.torus(1.0, 6))):
+        for space in spaces:
             span_norm(space, x)
             assert renorm_value(space, x).exact
 
