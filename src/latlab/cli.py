@@ -417,24 +417,28 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
     exact renorm maximizer against |x|, and the positive parts against the
     minimizing span decomposition.  Zero samples bound neither constant and
     are skipped, and so are witness pairs whose upper element has norm 0,
-    found with one ``value_many`` call.  ||x|| and |||x||| come from the
-    scalar ``value`` and ``renorm_value``; the third result holds them for
-    every sample in order, the inputs of ``renorm_bounds_check``.
+    found with one ``value_many`` call.  The span decompositions of the
+    nonzero samples come from one ``span_norm`` call on their stack.
+    ||x|| and |||x||| come from the scalar ``value`` and ``renorm_value``;
+    the third result holds them for every sample in order, the inputs of
+    ``renorm_bounds_check``.
     """
-    witnesses, span_ratios, norms = [], [], []
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    norms, maximizers = [], []
     for x in xs:
-        x = np.asarray(x, dtype=float)
         nx, ren = space.norm.value(x), renorm_value(space, x)
         norms.append((nx, ren.value))
-        if nx == 0.0:
-            continue
+        maximizers.append(ren.maximizer)
+    nonzero = [i for i, (nx, _) in enumerate(norms) if nx != 0.0]
+    if not nonzero:
+        raise ValueError("all samples were zero")
+    witnesses, span_ratios = [], []
+    for i, dec in zip(nonzero, span_norm(space, np.array([xs[i] for i in nonzero]))):
+        x = xs[i]
         ax = np.abs(x)
         xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
-        dec = span_norm(space, x)
-        witnesses += [(xp, ax), (xm, ax), (ren.maximizer, ax), (xp, dec.y), (xm, dec.z)]
-        span_ratios.append(dec.value / nx)
-    if not span_ratios:
-        raise ValueError("all samples were zero")
+        witnesses += [(xp, ax), (xm, ax), (maximizers[i], ax), (xp, dec.y), (xm, dec.z)]
+        span_ratios.append(dec.value / norms[i][0])
     keep = space.norm.value_many([b for _, b in witnesses]) > 0
     witnesses = [pair for pair, kept in zip(witnesses, keep) if kept]
     return normality_constant_lower_bound(space, witnesses), max(span_ratios), norms

@@ -270,38 +270,50 @@ class NormSpec:
         return sobolev_grid.negative_sobolev_norm(gf, self.k, self.p)
 
     def value_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Norms of the rows of X (a vector is a stack of one)."""
+        X = self._stack(X)
         if self.kind == "lp":
             return np.sum(self.weights * np.abs(X) ** self.p, axis=1) ** (1.0 / self.p)
         if self.kind == "sobolev":
-            return sobolev_grid.sobolev_norms(self.domain, self.k, self.p, X.T)
+            return sobolev_grid.sobolev_norms(self.domain, self.k, self.p, X)
         if self.p == 2.0:
-            return sobolev_grid.negative_sobolev_norms(self.domain, self.k, X.T)
+            return sobolev_grid.negative_sobolev_norms(self.domain, self.k, X)
         return np.array([self.value(x) for x in X])
 
     def grad(self, x) -> np.ndarray:
-        """Gradient of a Sobolev norm or its dual (a subgradient at kinks); zero at the origin."""
-        if self.kind == "lp":
-            raise NotImplementedError(
-                "lp norms are certified monotone; span_norm never needs their gradient")
-        x = np.asarray(x, dtype=float)
-        if self.kind == "sobolev":
-            return sobolev_grid.sobolev_value_grad(self.domain, self.k, self.p, x)[1]
-        if self.p != 2.0:
-            raise NotImplementedError("gradient of the dual Sobolev norm needs p = 2")
-        return sobolev_grid.negative_sobolev_value_grad(self.domain, self.k, x)[1]
+        """Gradient of a Sobolev norm or its dual (a subgradient at kinks; 0 at the origin)
+        at the vector x, or at each row of the stack x.
+
+        A stack is one kernel call, and each of its rows equals the gradient at
+        that row alone bit for bit.
+        """
+        return self._derivatives(x, False)[1]
 
     def hess(self, x) -> np.ndarray:
-        """Dense Hessian of a Sobolev norm or its dual (0 at the origin)."""
+        """Dense Hessian of a Sobolev norm or its dual (0 at the origin) at the
+        vector x, or one per row of the stack x, computed as ``grad`` is."""
+        return self._derivatives(x, True)[2]
+
+    def _derivatives(self, x, hessian: bool):
+        what = "Hessian" if hessian else "gradient"
         if self.kind == "lp":
             raise NotImplementedError(
-                "lp norms are certified monotone; span_norm never needs their Hessian")
-        x = np.asarray(x, dtype=float)
+                f"lp norms are certified monotone; span_norm never needs their {what}")
+        if self.kind == "dual_sobolev" and self.p != 2.0:
+            raise NotImplementedError(f"{what} of the dual Sobolev norm needs p = 2")
+        Y = self._stack(x)
         if self.kind == "sobolev":
-            return sobolev_grid.sobolev_hess(self.domain, self.k, self.p, x)
-        if self.p != 2.0:
-            raise NotImplementedError("Hessian of the dual Sobolev norm needs p = 2")
-        return sobolev_grid.negative_sobolev_hess(self.domain, self.k, x)
+            out = sobolev_grid.sobolev_derivatives(self.domain, self.k, self.p, Y, hessian)
+        else:
+            out = sobolev_grid.negative_sobolev_derivatives(self.domain, self.k, Y, hessian)
+        return tuple(a[0] for a in out) if np.ndim(x) == 1 else out
+
+    def _stack(self, X) -> np.ndarray:
+        """X as an (m, dim) float stack; a vector is a stack of one."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+            raise ValueError(f"expected vectors of length {self.dim}")
+        return np.atleast_2d(X)
 
     def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)

@@ -192,55 +192,75 @@ def stacked_diff_operator(domain: GridDomain, k: int):
 
 
 def sobolev_norms(domain: GridDomain, k: int, p: float, X: np.ndarray):
-    """W^{k,p} norms of the columns of X (a float for a single vector)."""
-    S, _ = stacked_diff_operator(domain, k)
-    total = domain.cell_measure * np.sum(np.abs(S @ X) ** p, axis=0)
-    return total ** (1.0 / p)
+    """W^{k,p} norms of the rows of X, or the norm of the vector X (a 0-d array).
+
+    Each row is reduced along the last axis of a C-contiguous stack, so it
+    comes out bit for bit as a stack of that row alone.
+    """
+    if k == 0:  # S is the identity, whose product copies X exactly
+        U = np.ascontiguousarray(X)
+    else:
+        U = np.ascontiguousarray((stacked_diff_operator(domain, k)[0] @ X.T).T)
+    return (domain.cell_measure * np.sum(np.abs(U) ** p, axis=-1)) ** (1.0 / p)
 
 
-def dual_norm_bound(domain: GridDomain, k: int, q: float, v: np.ndarray) -> float:
-    """The W^{k,q} norm of v / w, evaluated on v / max|v| so that no power under- or overflows.
+def dual_norm_bound(domain: GridDomain, k: int, q: float, V: np.ndarray):
+    """The W^{k,q} norm of v / w for the vector V or each row v of V, evaluated
+    on v / max|v| so that no power under- or overflows (0 for v = 0).
 
     It bounds sup{v . f : ||f|| <= 1} for every W^{k',p} norm at k = 0 and
     q = p/(p-1), since ||f||_{k',p} >= w^(1/p) ||f||_p, and equals it for
     the W^{-k,2} norm at q = 2.
     """
-    top = float(np.max(np.abs(v)))
-    if top == 0.0:
-        return 0.0
-    return top * float(sobolev_norms(domain, k, q, v / top)) / domain.cell_measure
+    top = np.max(np.abs(V), axis=-1)
+    nonzero = top > 0.0
+    scaled = V / np.where(nonzero, top, 1.0)[..., None]
+    bound = np.where(nonzero, top * sobolev_norms(domain, k, q, scaled), 0.0)
+    return (bound / domain.cell_measure)[()]
 
 
-def sobolev_value_grad(domain: GridDomain, k: int, p: float, f: np.ndarray):
-    """W^{k,p} norm of f and its gradient (subgradient at kinks, 0 at 0)."""
-    S, St = stacked_diff_operator(domain, k)
-    w, u = domain.cell_measure, S @ f
-    val = float((w * np.sum(np.abs(u) ** p)) ** (1.0 / p))
-    if val == 0.0:
-        return val, np.zeros_like(f)
-    return val, w * (St @ (np.abs(u) ** (p - 1.0) * np.sign(u))) * val ** (1.0 - p)
+def sobolev_derivatives(domain: GridDomain, k: int, p: float, Y: np.ndarray,
+                        hessian: bool = False):
+    """Values, gradients and, with ``hessian``, dense Hessians of the W^{k,p}
+    norm at the rows of the (m, N) stack Y, all from one product S Y^T.
 
-
-def sobolev_hess(domain: GridDomain, k: int, p: float, f: np.ndarray) -> np.ndarray:
-    """Dense Hessian of the W^{k,p} norm at f (0 at 0).
-
-    (p-1) (w val^(1-p) S^T diag(|Sf|^(p-2)) S - g g^T / val), with |Sf| floored
-    at 1e-8 max|Sf| so that 1 < p < 2 stays finite where Sf vanishes.
+    With u = S y and val = (w sum |u|^p)^(1/p), the gradient is
+    w S^T(|u|^(p-1) sign u) val^(1-p) (a subgradient at kinks) and the
+    Hessian (p-1) (w val^(1-p) S^T diag(|u|^(p-2)) S - g g^T / val), with |u|
+    floored at 1e-8 max|u| so that 1 < p < 2 stays finite where u vanishes.
+    Both are 0 at the origin.  Every row is reduced along the last axis, so
+    it comes out bit for bit as the stack of that row alone.
     """
-    val, g = sobolev_value_grad(domain, k, p, f)
-    if val == 0.0:
-        return np.zeros((f.size, f.size))
-    S = _dense_stacked_diff_operator(domain, k)
-    u = np.abs(S @ f)
-    D = (S.T * np.maximum(u, 1e-8 * u.max()) ** (p - 2.0)) @ S
-    return (p - 1.0) * (domain.cell_measure * val ** (1.0 - p) * D - np.outer(g, g) / val)
+    S, St = stacked_diff_operator(domain, k)
+    w = domain.cell_measure
+    U = np.ascontiguousarray((S @ Y.T).T)
+    A = np.abs(U)
+    val = (w * np.sum(A ** p, axis=-1)) ** (1.0 / p)
+    zero = val == 0.0
+    vp = np.where(zero, 1.0, val) ** (1.0 - p)
+    G = w * np.ascontiguousarray((St @ (A ** (p - 1.0) * np.sign(U)).T).T) * vp[:, None]
+    G[zero] = 0.0
+    if not hessian:
+        return val, G
+    Sd, D = _dense_stacked_diff_operator(domain, k)
+    if p != 2.0:  # at p = 2 every weight |u|^(p-2) is 1, and D is S^T S itself
+        A[zero] = 1.0
+        D = (Sd.T * np.maximum(A, 1e-8 * A.max(axis=-1, keepdims=True))[:, None, :]
+             ** (p - 2.0)) @ Sd
+    H = (p - 1.0) * (w * vp[:, None, None] * D
+                     - G[:, :, None] * G[:, None, :] / np.where(zero, 1.0, val)[:, None, None])
+    H[zero] = 0.0
+    return val, G, H
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_stacked_diff_operator(domain: GridDomain, k: int) -> np.ndarray:
+def _dense_stacked_diff_operator(domain: GridDomain, k: int):
+    """Dense S and S^T S, read-only."""
     S = stacked_diff_operator(domain, k)[0].toarray()
+    K = np.ascontiguousarray(S.T) @ S
     S.setflags(write=False)
-    return S
+    K.setflags(write=False)
+    return S, K
 
 
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
@@ -283,15 +303,27 @@ def stiffness_inverse_nonnegative(domain: GridDomain, k: int) -> bool:
     have negative ones.
     """
     S, St = stacked_diff_operator(domain, k)
-    K = (St @ S).tocsr()
-    diag = K.diagonal()
-    off = K - scipy.sparse.diags(diag)
-    if off.nnz and off.data.max() > 0.0:
-        return False
-    row_abs = np.asarray(abs(K).sum(axis=1)).ravel()
-    margin = 2.0 * diag - row_abs  # diagonal minus the off-diagonal magnitudes
-    rounding = np.diff(K.indptr) * np.finfo(float).eps * row_abs
-    return bool(np.all(diag > 0.0) and np.all(margin > rounding))
+    z_matrix, margin, rounding = _m_matrix_margins((St @ S).tocsr())
+    return bool(z_matrix and np.all(margin > rounding))
+
+
+def _m_matrix_margins(K: scipy.sparse.csr_matrix):
+    """Read from the canonical CSR arrays of K: whether no off-diagonal entry
+    is positive, each row's diagonal minus its off-diagonal magnitudes, and
+    the rounding bound (entries x eps x row sum of |K|) of that row's sum.
+
+    A margin above its bound makes the diagonal positive as well.
+    """
+    K.sum_duplicates()
+    n, counts = K.shape[0], np.diff(K.indptr)
+    on_diag = K.indices == np.repeat(np.arange(n), counts)
+    diag = np.zeros(n)
+    diag[K.indices[on_diag]] = K.data[on_diag]
+    # reduceat gives an empty row the next row's first entry, so it is zeroed
+    sums = np.add.reduceat(np.append(np.abs(K.data), 0.0), K.indptr[:-1])
+    row_abs = np.where(counts > 0, sums, 0.0)
+    rounding = counts * np.finfo(float).eps * row_abs
+    return not np.any(K.data[~on_diag] > 0.0), 2.0 * diag - row_abs, rounding
 
 
 def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
@@ -306,33 +338,40 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     check_grid_order(g.domain, k)
     _check_p(p)
     if p == 2.0:
-        return negative_sobolev_value_grad(g.domain, k, g.values)[0]
+        return float(negative_sobolev_norms(g.domain, k, g.values))
     return _negative_norm_ascent(g, k, p)
 
 
-def negative_sobolev_norms(domain: GridDomain, k: int, X: np.ndarray) -> np.ndarray:
-    """W^{-k,2} norms sqrt(w x^T K^{-1} x) of the columns x of X, K = S^T S."""
-    U = _sobolev_stiffness_factor(domain, k).solve(X)
-    return np.sqrt(np.maximum(domain.cell_measure * np.sum(U * X, axis=0), 0.0))
+def negative_sobolev_norms(domain: GridDomain, k: int, X: np.ndarray):
+    """W^{-k,2} norms sqrt(w x^T K^{-1} x), K = S^T S, of the rows x of X, or
+    the norm of the vector X (a 0-d array); rows reduce as in ``sobolev_norms``."""
+    U = np.ascontiguousarray(_sobolev_stiffness_factor(domain, k).solve(X.T).T)
+    return np.sqrt(np.maximum(domain.cell_measure * np.vecdot(U, X), 0.0))
 
 
-def negative_sobolev_value_grad(domain: GridDomain, k: int, g: np.ndarray):
-    """W^{-k,2} norm of g and its gradient w K^{-1} g / norm (0 at 0), one solve."""
+def negative_sobolev_derivatives(domain: GridDomain, k: int, Y: np.ndarray,
+                                 hessian: bool = False):
+    """Values, gradients w K^{-1} y / val and, with ``hessian``, dense Hessians
+    (w K^{-1} - g g^T) / val of the W^{-k,2} norm at the rows of the (m, N)
+    stack Y, from one solve with the factored stiffness K = S^T S.
+
+    Both are 0 at the origin; rows reduce as in ``sobolev_derivatives``.
+    """
+    m, n = Y.shape
     w = domain.cell_measure
-    u = _sobolev_stiffness_factor(domain, k).solve(g)
-    val = math.sqrt(max(w * float(u @ g), 0.0))
-    if val == 0.0:
-        return val, np.zeros_like(g)
-    return val, w * u / val
-
-
-def negative_sobolev_hess(domain: GridDomain, k: int, g: np.ndarray) -> np.ndarray:
-    """Dense Hessian (w K^{-1} - grad grad^T) / norm of the W^{-k,2} norm at g (0 at 0)."""
-    val, grad = negative_sobolev_value_grad(domain, k, g)
-    if val == 0.0:
-        return np.zeros((g.size, g.size))
-    Kinv = _sobolev_stiffness_factor(domain, k).solve(np.eye(g.size))
-    return (domain.cell_measure * Kinv - np.outer(grad, grad)) / val
+    V = _sobolev_stiffness_factor(domain, k).solve(
+        np.hstack([Y.T, np.eye(n)]) if hessian else Y.T)
+    U = np.ascontiguousarray(V[:, :m].T)
+    val = np.sqrt(np.maximum(w * np.vecdot(U, Y), 0.0))
+    zero = val == 0.0
+    scale = np.where(zero, 1.0, val)
+    G = w * U / scale[:, None]
+    G[zero] = 0.0
+    if not hessian:
+        return val, G
+    H = (w * V[:, m:] - G[:, :, None] * G[:, None, :]) / scale[:, None, None]
+    H[zero] = 0.0
+    return val, G, H
 
 
 def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
@@ -343,14 +382,18 @@ def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
         return 0.0
     # warm start at the p=2 maximizer
     f0 = _sobolev_stiffness_factor(dom, k).solve(gv)
-    n0, _ = sobolev_value_grad(dom, k, q, f0)
+    n0 = float(sobolev_norms(dom, k, q, f0))
     f0 = f0 / n0 if n0 > 0 else np.ones_like(gv)
+
+    def value_grad(f):
+        val, grad = sobolev_derivatives(dom, k, q, f[None, :])
+        return float(val[0]), grad[0]
 
     def neg_obj(f):
         return -w * float(f @ gv), -w * gv
 
     def constraint(f):
-        val, grad = sobolev_value_grad(dom, k, q, f)
+        val, grad = value_grad(f)
         return 1.0 - val, -grad
 
     res = scipy.optimize.minimize(
@@ -361,7 +404,7 @@ def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
         options={"maxiter": 400, "ftol": 1e-14},
     )
     fstar = res.x
-    norm_f, grad_f = sobolev_value_grad(dom, k, q, fstar)
+    norm_f, grad_f = value_grad(fstar)
     if norm_f <= 0:
         raise ConvergenceError("degenerate ascent iterate", best=0.0)
     lower = w * float(fstar @ gv) / norm_f

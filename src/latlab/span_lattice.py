@@ -26,8 +26,9 @@ from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, dual_norm_bou
 
 @dataclass(frozen=True)
 class SpanNormResult:
-    """Value of the span norm, the decomposition x = y - z that attains it,
-    and a certified lower bound on the norm (``lower == value`` when exact)."""
+    """Value of the span norm of one vector, the decomposition x = y - z that
+    attains it, and a certified lower bound on the norm (``lower == value``
+    when exact).  ``span_norm`` returns one per row of a stack."""
 
     value: float
     y: np.ndarray
@@ -40,17 +41,36 @@ _SPAN_NEWTON_STEPS = 100  # projected-Newton iterations before the solve gives u
 _ARMIJO = 1e-4            # fraction of the predicted decrease a step must achieve
 _BACKTRACKS = 40          # step halvings before a line search gives up
 _ROUNDING = 8.0 * np.finfo(float).eps  # relative rounding a step's objective may show
+_SPAN_EPS = 1e-9          # widest band above 0 in which a coordinate counts as active
 
 
-def _dual_norm_bound(norm, v) -> float:
-    """``dual_norm_bound`` of v for W^{k,p}, at (0, p/(p-1)), or for W^{-k,2}, at (k, 2)."""
+def _dual_norm_bound(norm, V):
+    """``dual_norm_bound`` of v, or of each row v of V, for W^{k,p} at (0, p/(p-1)),
+    or for W^{-k,2} at (k, 2)."""
     if norm.kind == "dual_sobolev":
-        return dual_norm_bound(norm.domain, norm.k, 2.0, v)
-    return dual_norm_bound(norm.domain, 0, norm.p / (norm.p - 1.0), v)
+        return dual_norm_bound(norm.domain, norm.k, 2.0, V)
+    return dual_norm_bound(norm.domain, 0, norm.p / (norm.p - 1.0), V)
 
 
-def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
+def _finite_vectors(space: OrderedSpaceSpec, x, ndims) -> np.ndarray:
+    """x as a float array with ndim in ``ndims`` and rows of length dim, every entry finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndims or x.shape[-1] != space.dim:
+        raise ValueError(f"expected vectors of length {space.dim}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        *row, j = np.argwhere(~np.isfinite(x))[0]
+        where = f"row {row[0]}, entry {j}" if row else f"entry {j}"
+        raise ValueError(f"{where} of x is {x[(*row, j)]}, not finite")
+    return x
+
+
+def span_norm(space: OrderedSpaceSpec, x):
     """inf ||y|| + ||z|| over y, z >= 0 with x = y - z (standard cone).
+
+    ``x`` is one vector (dim,), which gives one SpanNormResult, or a stack
+    (m, dim), which gives a list of one per row; each row's result equals
+    that of the row alone bit for bit.  A non-finite entry is rejected
+    before any evaluation.
 
     Every feasible pair is y = x+ + s, z = x- + s with s >= 0.  On the cone
     or its negative, and for a norm certified monotone on the cone
@@ -60,62 +80,115 @@ def span_norm(space: OrderedSpaceSpec, x) -> SpanNormResult:
     Otherwise projected Newton (Bertsekas, SIAM J. Control Optim. 20, 1982)
     minimizes f(s) = ||a + s|| + ||b + s|| over s >= 0 for a, b = x+, x-
     divided by max|x|, and scales back, which is exact by homogeneity.  Each
-    step solves the Newton system on the free set {s > 0} or {grad f < 0}
-    and backtracks along the projected path.  It stops on the duality gap
-    (Rockafellar, Convex Analysis, sec. 31): with g_a, g_b the two norm
-    gradients and r = max(-(g_a + g_b), 0), the pair g_a + r/2, g_b + r/2
-    divided by 1 + ||r/2||_* is feasible for the dual problem
-    max{phi . a + psi . b : ||phi||_*, ||psi||_* <= 1, phi + psi >= 0}, so
-    its dual value is a certified lower bound.  The result is returned once
-    value - lower <= 1e-8 value; otherwise a ConvergenceError carries the
-    best decomposition and ``diagnostics["bracket"] = (lower, value)``.
+    step takes the coordinates with s_i <= eps and g_i >= 0 as active, for
+    eps = min(1e-9, max|min(s, g)|), moves them along -g and the others by
+    the Newton step on their own block, and backtracks along the projected
+    path.  It stops on the duality gap (Rockafellar, Convex Analysis, sec.
+    31): with g_a, g_b the two norm gradients and r = max(-(g_a + g_b), 0),
+    the pair g_a + r/2, g_b + r/2 divided by 1 + ||r/2||_* is feasible for
+    the dual problem max{phi . a + psi . b : ||phi||_*, ||psi||_* <= 1,
+    phi + psi >= 0}, so its dual value is a certified lower bound.  A row is
+    done once value - lower <= 1e-8 value.
+
+    The rows of a stack iterate together: each step makes one ``grad`` and
+    one ``hess`` call on the stacked points a + s and b + s, bounds every
+    dual norm in one call and solves every Newton system in one stacked
+    ``np.linalg.solve``, with the rows and columns of active coordinates
+    replaced by the identity.  Each row keeps its own active set and its own
+    Armijo search, and stops on its own gap.  Rows left uncertified raise
+    one ConvergenceError after the others are done: for a vector its
+    ``best`` is the best decomposition and ``diagnostics["bracket"]`` is
+    (lower, value); for a stack ``best`` is the list of results and
+    ``diagnostics["rows"][j]["bracket"]`` that of each failed row j.
     """
     if not space.cone.is_standard():
         raise ValueError("span norm optimization requires the standard cone")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.dim,):
-        raise ValueError("vector dimension mismatch")
-    xp = np.maximum(x, 0.0)
-    xm = np.maximum(-x, 0.0)
+    x = _finite_vectors(space, x, (1, 2))
+    X = np.atleast_2d(x)
+    XP, XM = np.maximum(X, 0.0), np.maximum(-X, 0.0)
     norm = space.norm
-    if norm.monotone or not (np.any(xp) and np.any(xm)):
-        value = norm.value(xp) + norm.value(xm)
-        return SpanNormResult(value, xp, xm, value)
+    results = [None] * len(X)
+    for j, (xp, xm) in enumerate(zip(XP, XM)):
+        if norm.monotone or not (np.any(xp) and np.any(xm)):
+            value = norm.value(xp) + norm.value(xm)
+            results[j] = SpanNormResult(value, xp, xm, value)
+    failed = _span_newton(norm, X, XP, XM, results)
+    if not failed:
+        return results[0] if x.ndim == 1 else results
+    brackets = {j: (results[j].lower, results[j].value) for j in failed}
+    messages = {j: f"span-norm duality gap not certified: bracket [{lo:.6g}, {hi:.6g}]"
+                for j, (lo, hi) in brackets.items()}
+    if x.ndim == 1:
+        raise ConvergenceError(messages[0], best=results[0],
+                               diagnostics={"bracket": brackets[0]})
+    raise ConvergenceError(
+        "; ".join(f"row {j}: {msg}" for j, msg in messages.items()), best=results,
+        diagnostics={"rows": {j: {"bracket": b} for j, b in brackets.items()}},
+    )
 
-    scale = float(np.max(np.abs(x)))
-    a, b = xp / scale, xm / scale
-    s = np.zeros_like(x)
-    f = norm.value(a) + norm.value(b)
+
+def _span_newton(norm, X, XP, XM, results) -> list[int]:
+    """Projected Newton for ``span_norm`` on the rows j of X with no result
+    yet; fills in their results and returns the rows left uncertified."""
+    rows = np.flatnonzero([res is None for res in results])
+    if not rows.size:
+        return []
+    scale = np.max(np.abs(X[rows]), axis=1)[:, None]
+    A, B = XP[rows] / scale, XM[rows] / scale
+    S, lower = np.zeros_like(A), np.zeros(len(rows))
+    f = _pair_sums(norm.value_many(np.concatenate([A, B])))
+    live, failed, eye = np.arange(len(rows)), [], np.eye(A.shape[1])
     for _ in range(_SPAN_NEWTON_STEPS):
-        ya, yb = a + s, b + s
-        ga, gb = norm.grad(ya), norm.grad(yb)
+        if not live.size:
+            break
+        a, b, s, fl = A[live], B[live], S[live], f[live]
+        Y = np.concatenate([a + s, b + s])
+        G = norm.grad(Y)
+        ga, gb = G[:len(live)], G[len(live):]
         g = ga + gb
         r = np.maximum(-g, 0.0)
-        # the clamp drops only rounding: the minimum never exceeds f
-        lower = min(f, (ga @ a + gb @ b + r @ (a + b) / 2.0)
-                    / (1.0 + _dual_norm_bound(norm, r / 2.0)))
-        if f - lower <= _SPAN_GAP_TOL * f:
-            return SpanNormResult(scale * f, xp + scale * s, xm + scale * s, scale * lower)
-        free = (s > 0.0) | (g < 0.0)
-        H = norm.hess(ya) + norm.hess(yb)
-        d = np.zeros_like(s)
-        d[free] = -np.linalg.solve(H[free][:, free], g[free])
-        step = 1.0
-        for _ in range(_BACKTRACKS):
-            t = np.maximum(s + step * d, 0.0)
-            ft = norm.value(a + t) + norm.value(b + t)
-            if ft <= f + _ARMIJO * float(g @ (t - s)) + _ROUNDING * f:
+        lower[live] = np.minimum(
+            fl, (np.vecdot(ga, a) + np.vecdot(gb, b) + np.vecdot(r, a + b) / 2.0)
+            / (1.0 + _dual_norm_bound(norm, r / 2.0)))
+        going = fl - lower[live] > _SPAN_GAP_TOL * fl
+        if not going.all():
+            live, a, b, s, fl, g = live[going], a[going], b[going], s[going], fl[going], g[going]
+            Y = Y[np.concatenate([going, going])]
+            if not live.size:
                 break
-            step /= 2.0
-        else:
-            break
-        s, f = t, ft
-    value, lower = scale * f, scale * lower
-    raise ConvergenceError(
-        f"span-norm duality gap not certified: bracket [{lower:.6g}, {value:.6g}]",
-        best=SpanNormResult(value, xp + scale * s, xm + scale * s, lower),
-        diagnostics={"bracket": (lower, value)},
-    )
+        # a coordinate kept free just above its bound with g > 0 would cut
+        # every step short at the projection and stall the solve
+        eps = np.minimum(_SPAN_EPS, np.max(np.abs(np.minimum(s, g)), axis=1))
+        free = (s > eps[:, None]) | (g < 0.0)
+        H = _pair_sums(norm.hess(Y))
+        H = np.where(free[:, :, None] & free[:, None, :], H, eye)
+        d = -np.linalg.solve(H, g[..., None])[..., 0]
+        # an Armijo search per row along the projected path
+        todo, step = np.arange(len(live)), np.ones(len(live))
+        for _ in range(_BACKTRACKS):
+            t = np.maximum(s[todo] + step[todo, None] * d[todo], 0.0)
+            ft = _pair_sums(norm.value_many(np.concatenate([a[todo] + t, b[todo] + t])))
+            ok = ft <= fl[todo] + _ARMIJO * np.vecdot(g[todo], t - s[todo]) + _ROUNDING * fl[todo]
+            S[live[todo[ok]]], f[live[todo[ok]]] = t[ok], ft[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            step[todo] /= 2.0
+        else:  # a row whose search found no step stops where it is
+            failed += live[todo].tolist()
+            live = np.delete(live, todo)
+    else:
+        failed += live.tolist()
+    for i, j in enumerate(rows):
+        c = scale[i, 0]
+        results[j] = SpanNormResult(float(c * f[i]), XP[j] + c * S[i], XM[j] + c * S[i],
+                                    float(c * lower[i]))
+    return sorted(rows[failed].tolist())
+
+
+def _pair_sums(V: np.ndarray) -> np.ndarray:
+    """u + v for the two halves u, v of the stack V, as norms at a + s and at b + s."""
+    return V[:len(V) // 2] + V[len(V) // 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +222,12 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     vertices (the norm is convex, so the maximum sits at a vertex).  Above
     that a ConvergenceError refuses: its ``best`` is the inexact
     RenormResult at |x| and ``diagnostics["bracket"]`` holds the certified
-    bounds (||(|x|)||, sum_j |x_j| ||e_j||) of the maximum.
+    bounds (||(|x|)||, sum_j |x_j| ||e_j||) of the maximum.  A non-finite
+    entry of x is rejected before any evaluation.
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
-    x = np.asarray(x, dtype=float)
+    x = _finite_vectors(space, x, (1,))
     ax = np.abs(x)
     if not np.any(ax):
         return RenormResult(0.0, True, np.zeros_like(x))

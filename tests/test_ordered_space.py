@@ -582,6 +582,45 @@ class TestNormSpec:
         assert np.allclose(spec.hess(x), fd_hess, rtol=1e-5, atol=1e-7)
         assert np.array_equal(spec.hess(np.zeros(spec.dim)), np.zeros((spec.dim, spec.dim)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 8), 1, 2.0),
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 8), 1, 1.5),
+        lambda: NormSpec.sobolev(GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 5), 2, 3.0),
+        lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+    ], ids=["sobolev-interval-k1-p2", "sobolev-interval-k1-p1.5",
+            "sobolev-rectangle-k2-p3", "dual-sobolev-p2"])
+    def test_stacked_derivatives_equal_one_vector_ones(self, make):
+        spec = make()
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((5, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+        X[2] = 0.0  # the origin, where both are 0
+        G, H = spec.grad(X), spec.hess(X)
+        assert G.shape == X.shape and H.shape == (5, spec.dim, spec.dim)
+        for x, g, hx in zip(X, G, H):
+            assert np.array_equal(g, spec.grad(x)) and np.array_equal(hx, spec.hess(x))
+        # each row of a stack, scaled to max 1, against central differences
+        Z = X[[0, 1, 3]] / np.abs(X[[0, 1, 3]]).max(axis=1, keepdims=True)
+        E, h = 1e-6 * np.eye(spec.dim), 1e-6
+        for z, g, hz in zip(Z, spec.grad(Z), spec.hess(Z)):
+            fd = (spec.value_many(z + E) - spec.value_many(z - E)) / (2 * h)
+            assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
+            fd_hess = (spec.grad(z + E) - spec.grad(z - E)) / (2 * h)
+            assert np.allclose(hz, fd_hess, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NormSpec.lp(np.linspace(0.5, 2.0, 6), 3.0),
+        lambda: NormSpec.sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+        lambda: NormSpec.dual_sobolev(GridDomain.interval(0.0, 1.0, 6), 1, 2.0),
+    ], ids=["lp", "sobolev", "dual-sobolev"])
+    def test_stacks_of_the_wrong_width_are_rejected(self, make):
+        spec = make()
+        derivatives = (spec.grad, spec.hess) if spec.kind != "lp" else ()
+        for X in (np.ones((3, 1)), np.ones((3, spec.dim + 1)), np.ones(spec.dim - 1),
+                  np.ones((2, 3, spec.dim))):
+            for method in (spec.value_many, *derivatives):
+                with pytest.raises(ValueError, match=f"^expected vectors of length {spec.dim}$"):
+                    method(X)
+
     def test_lp_grad_raises(self):
         # span_norm differentiates only norms not certified monotone; lp always is
         spec = NormSpec.lp(np.linspace(0.5, 2, 6), 3.0)

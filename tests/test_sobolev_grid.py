@@ -200,6 +200,34 @@ class TestStiffnessCertificate:
         assert not stiffness_inverse_nonnegative(domain, 2)
         assert np.linalg.inv(_dense_stiffness(domain, 2)).min() < 0.0
 
+    @pytest.mark.parametrize("domain", [
+        GridDomain.interval(0.0, 1.0, 10), GridDomain.interval(0.0, 8.0, 128),
+        GridDomain.torus(1.0, 16), GridDomain.rectangle(0.0, 1.0, 0.0, 1.0, 6),
+    ], ids=["interval-n10", "interval-8-n128", "torus-n16", "rectangle-n6"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_margins_from_the_csr_arrays_match_the_dense_formula(self, domain, k):
+        S, St = stacked_diff_operator(domain, k)
+        K = (St @ S).tocsr()
+        z_matrix, margin, rounding = sobolev_grid._m_matrix_margins(K.copy())
+        D = K.toarray()
+        diag = np.diag(D)
+        off = D - np.diag(diag)
+        row_abs = np.abs(D).sum(axis=1)
+        assert z_matrix == (off.max() <= 0.0)
+        assert np.array_equal(margin, 2.0 * diag - row_abs)
+        eps = np.finfo(float).eps
+        assert np.array_equal(rounding, np.count_nonzero(D, axis=1) * eps * row_abs)
+        assert stiffness_inverse_nonnegative.__wrapped__(domain, k) == bool(
+            z_matrix and np.all(diag > 0.0) and np.all(2.0 * diag - row_abs > rounding))
+
+    def test_margins_of_empty_rows_are_zero(self):
+        # an empty row sums to 0, not to the first entry of the next row
+        K = scipy.sparse.csr_matrix(np.array([[0.0, 0.0, 0.0], [0.0, 3.0, -1.0], [0.0, 0.0, 0.0]]))
+        z_matrix, margin, rounding = sobolev_grid._m_matrix_margins(K)
+        assert z_matrix
+        assert np.array_equal(margin, [0.0, 2.0, 0.0])
+        assert np.array_equal(rounding, [0.0, 2 * np.finfo(float).eps * 4.0, 0.0])
+
     # K = S^T S of each S: strictly dominant with a positive off-diagonal entry
     # (K^{-1} has a negative entry), and a singular Z-matrix with no margin
     @pytest.mark.parametrize("S", [[[1.0, 0.1], [0.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]],
