@@ -308,10 +308,10 @@ class NormSpec:
             out = sobolev_grid.negative_sobolev_derivatives(self.domain, self.k, Y, hessian)
         return tuple(a[0] for a in out) if np.ndim(x) == 1 else out
 
-    def _stack(self, X) -> np.ndarray:
-        """X as an (m, dim) float stack; a vector is a stack of one."""
+    def _stack(self, X, ndims=(1, 2)) -> np.ndarray:
+        """X, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one."""
         X = np.asarray(X, dtype=float)
-        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+        if X.ndim not in ndims or X.shape[-1] != self.dim:
             raise ValueError(f"expected vectors of length {self.dim}")
         return np.atleast_2d(X)
 

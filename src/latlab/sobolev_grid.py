@@ -197,10 +197,7 @@ def sobolev_norms(domain: GridDomain, k: int, p: float, X: np.ndarray):
     Each row is reduced along the last axis of a C-contiguous stack, so it
     comes out bit for bit as a stack of that row alone.
     """
-    if k == 0:  # S is the identity, whose product copies X exactly
-        U = np.ascontiguousarray(X)
-    else:
-        U = np.ascontiguousarray((stacked_diff_operator(domain, k)[0] @ X.T).T)
+    U = np.ascontiguousarray((stacked_diff_operator(domain, k)[0] @ X.T).T)
     return (domain.cell_measure * np.sum(np.abs(U) ** p, axis=-1)) ** (1.0 / p)
 
 
@@ -342,11 +339,18 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     return _negative_norm_ascent(g, k, p)
 
 
+def row_dots(U: np.ndarray, V: np.ndarray):
+    """u . v for each pair of rows of the stacks U and V (0-d for two vectors):
+    a stacked matmul dots each pair alone, so a row matches that row alone bit
+    for bit, as ``np.vecdot`` does on numpy >= 2 only."""
+    return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
 def negative_sobolev_norms(domain: GridDomain, k: int, X: np.ndarray):
     """W^{-k,2} norms sqrt(w x^T K^{-1} x), K = S^T S, of the rows x of X, or
     the norm of the vector X (a 0-d array); rows reduce as in ``sobolev_norms``."""
     U = np.ascontiguousarray(_sobolev_stiffness_factor(domain, k).solve(X.T).T)
-    return np.sqrt(np.maximum(domain.cell_measure * np.vecdot(U, X), 0.0))
+    return np.sqrt(np.maximum(domain.cell_measure * row_dots(U, X), 0.0))
 
 
 def negative_sobolev_derivatives(domain: GridDomain, k: int, Y: np.ndarray,
@@ -362,7 +366,7 @@ def negative_sobolev_derivatives(domain: GridDomain, k: int, Y: np.ndarray,
     V = _sobolev_stiffness_factor(domain, k).solve(
         np.hstack([Y.T, np.eye(n)]) if hessian else Y.T)
     U = np.ascontiguousarray(V[:, :m].T)
-    val = np.sqrt(np.maximum(w * np.vecdot(U, Y), 0.0))
+    val = np.sqrt(np.maximum(w * row_dots(U, Y), 0.0))
     zero = val == 0.0
     scale = np.where(zero, 1.0, val)
     G = w * U / scale[:, None]

@@ -17,7 +17,7 @@ import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import OrderedSpaceSpec
-from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, dual_norm_bound
+from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, dual_norm_bound, row_dots
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +52,14 @@ def _dual_norm_bound(norm, V):
     return dual_norm_bound(norm.domain, 0, norm.p / (norm.p - 1.0), V)
 
 
-def _finite_vectors(space: OrderedSpaceSpec, x, ndims) -> np.ndarray:
-    """x as a float array with ndim in ``ndims`` and rows of length dim, every entry finite."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in ndims or x.shape[-1] != space.dim:
-        raise ValueError(f"expected vectors of length {space.dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        *row, j = np.argwhere(~np.isfinite(x))[0]
-        where = f"row {row[0]}, entry {j}" if row else f"entry {j}"
-        raise ValueError(f"{where} of x is {x[(*row, j)]}, not finite")
-    return x
+def _finite_stack(space: OrderedSpaceSpec, x, ndims=(1, 2)) -> np.ndarray:
+    """x as the (m, dim) stack of ``NormSpec._stack``, every entry finite."""
+    X = space.norm._stack(x, ndims)
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        where = f"row {i}, entry {j}" if np.ndim(x) == 2 else f"entry {j}"
+        raise ValueError(f"{where} of x is {X[i, j]}, not finite")
+    return X
 
 
 def span_norm(space: OrderedSpaceSpec, x):
@@ -103,8 +101,7 @@ def span_norm(space: OrderedSpaceSpec, x):
     """
     if not space.cone.is_standard():
         raise ValueError("span norm optimization requires the standard cone")
-    x = _finite_vectors(space, x, (1, 2))
-    X = np.atleast_2d(x)
+    X = _finite_stack(space, x)
     XP, XM = np.maximum(X, 0.0), np.maximum(-X, 0.0)
     norm = space.norm
     results = [None] * len(X)
@@ -114,11 +111,11 @@ def span_norm(space: OrderedSpaceSpec, x):
             results[j] = SpanNormResult(value, xp, xm, value)
     failed = _span_newton(norm, X, XP, XM, results)
     if not failed:
-        return results[0] if x.ndim == 1 else results
+        return results[0] if np.ndim(x) == 1 else results
     brackets = {j: (results[j].lower, results[j].value) for j in failed}
     messages = {j: f"span-norm duality gap not certified: bracket [{lo:.6g}, {hi:.6g}]"
                 for j, (lo, hi) in brackets.items()}
-    if x.ndim == 1:
+    if np.ndim(x) == 1:
         raise ConvergenceError(messages[0], best=results[0],
                                diagnostics={"bracket": brackets[0]})
     raise ConvergenceError(
@@ -148,7 +145,7 @@ def _span_newton(norm, X, XP, XM, results) -> list[int]:
         g = ga + gb
         r = np.maximum(-g, 0.0)
         lower[live] = np.minimum(
-            fl, (np.vecdot(ga, a) + np.vecdot(gb, b) + np.vecdot(r, a + b) / 2.0)
+            fl, (row_dots(ga, a) + row_dots(gb, b) + row_dots(r, a + b) / 2.0)
             / (1.0 + _dual_norm_bound(norm, r / 2.0)))
         going = fl - lower[live] > _SPAN_GAP_TOL * fl
         if not going.all():
@@ -168,7 +165,7 @@ def _span_newton(norm, X, XP, XM, results) -> list[int]:
         for _ in range(_BACKTRACKS):
             t = np.maximum(s[todo] + step[todo, None] * d[todo], 0.0)
             ft = _pair_sums(norm.value_many(np.concatenate([a[todo] + t, b[todo] + t])))
-            ok = ft <= fl[todo] + _ARMIJO * np.vecdot(g[todo], t - s[todo]) + _ROUNDING * fl[todo]
+            ok = ft <= fl[todo] + _ARMIJO * row_dots(g[todo], t - s[todo]) + _ROUNDING * fl[todo]
             S[live[todo[ok]]], f[live[todo[ok]]] = t[ok], ft[ok]
             todo = todo[~ok]
             if not todo.size:
@@ -227,7 +224,7 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
-    x = _finite_vectors(space, x, (1,))
+    x = _finite_stack(space, x, (1,))[0]
     ax = np.abs(x)
     if not np.any(ax):
         return RenormResult(0.0, True, np.zeros_like(x))

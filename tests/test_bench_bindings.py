@@ -20,11 +20,18 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 @pytest.fixture(scope="module")
 def bench():
+    # run.py puts bench/ on sys.path itself and imports checks, tracer and
+    # workloads, whose names are generic: the path and the bench modules are
+    # taken out again, while latlab and library modules stay loaded
+    path, modules = list(sys.path), set(sys.modules)
     sys.path.insert(0, str(BENCH))
     try:
-        yield importlib.import_module("run")  # imports checks, tracer and workloads
+        yield importlib.import_module("run")
     finally:
-        sys.path.remove(str(BENCH))
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == BENCH:
+                del sys.modules[name]
 
 
 @pytest.mark.parametrize("workload", ["renorm-audit", "sup-mollifier", "sup-resolvent",
