@@ -416,9 +416,9 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
     The witness family per sample x: the positive parts against |x|, the
     exact renorm maximizer against |x|, and the positive parts against the
     minimizing span decomposition.  Zero samples bound neither constant and
-    are skipped, and so are witness pairs whose upper element has norm 0,
-    found with one ``value_many`` call.  The span decompositions of the
-    nonzero samples come from one ``span_norm`` call on their stack.
+    are skipped, and so are witness pairs whose upper element is the zero
+    vector.  The span decompositions of the nonzero samples come from one
+    ``span_norm`` call on their stack.
     ||x|| and |||x||| come from the scalar ``value`` and ``renorm_value``;
     the third result holds them for every sample in order, the inputs of
     ``renorm_bounds_check``.
@@ -439,7 +439,7 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
         xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
         witnesses += [(xp, ax), (xm, ax), (maximizers[i], ax), (xp, dec.y), (xm, dec.z)]
         span_ratios.append(dec.value / norms[i][0])
-    keep = space.norm.value_many([b for _, b in witnesses]) > 0
+    keep = np.any([b for _, b in witnesses], axis=1)
     witnesses = [pair for pair, kept in zip(witnesses, keep) if kept]
     return normality_constant_lower_bound(space, witnesses), max(span_ratios), norms
 

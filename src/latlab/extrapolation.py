@@ -208,9 +208,8 @@ def extrapolation_norm(space: ExtrapolationSpace, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != space.base.dim:
         raise ValueError("vector dimension mismatch")
-    if x.ndim == 1:
-        return space.base.norm.value(space.resolvent_operator @ x)
-    return space.base.norm.value_many((space.resolvent_operator @ x.T).T)
+    values = space.base.norm.value_many((space.resolvent_operator @ np.atleast_2d(x).T).T)
+    return float(values[0]) if x.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,9 @@ class NormSpec:
     resolves.  Construction checks homogeneity, the triangle inequality and
     finiteness on seeded random samples, all evaluated in one ``value_many``
     call.  ``monotone`` certifies ||u|| <= ||v|| for 0 <= u <= v, which
-    gives the span norm and the renorm in closed form.
+    gives the span norm and the renorm in closed form.  Every evaluation
+    goes through one kernel per kind on a stack, so ``value(x)`` equals
+    ``value_many`` of x alone, and x's row of any stack, bit for bit.
     """
 
     kind: str                                # "lp" | "sobolev" | "dual_sobolev"
@@ -259,11 +261,12 @@ class NormSpec:
             self.domain, self.k)
 
     def value(self, x) -> float:
+        """The norm of the vector x, bit for bit ``value_many`` of x alone."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}")
         if self.kind == "lp":
-            return float(np.sum(self.weights * np.abs(x) ** self.p) ** (1.0 / self.p))
+            return float(self._kernel(x[None], 0)[0][0])
         gf = GridFunction(self.domain, x)
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_norm(gf, self.k, self.p)
@@ -271,14 +274,7 @@ class NormSpec:
 
     def value_many(self, X) -> np.ndarray:
         """Norms of the rows of X (a vector is a stack of one)."""
-        X = self._stack(X)
-        if self.kind == "lp":
-            return np.sum(self.weights * np.abs(X) ** self.p, axis=1) ** (1.0 / self.p)
-        if self.kind == "sobolev":
-            return sobolev_grid.sobolev_norms(self.domain, self.k, self.p, X)
-        if self.p == 2.0:
-            return sobolev_grid.negative_sobolev_norms(self.domain, self.k, X)
-        return np.array([self.value(x) for x in X])
+        return self._kernel(self._stack(X), 0)[0]
 
     def grad(self, x) -> np.ndarray:
         """Gradient of a Sobolev norm or its dual (a subgradient at kinks; 0 at the origin)
@@ -287,26 +283,40 @@ class NormSpec:
         A stack is one kernel call, and each of its rows equals the gradient at
         that row alone bit for bit.
         """
-        return self._derivatives(x, False)[1]
+        return self._derivative(x, 1)
 
     def hess(self, x) -> np.ndarray:
         """Dense Hessian of a Sobolev norm or its dual (0 at the origin) at the
         vector x, or one per row of the stack x, computed as ``grad`` is."""
-        return self._derivatives(x, True)[2]
+        return self._derivative(x, 2)
 
-    def _derivatives(self, x, hessian: bool):
-        what = "Hessian" if hessian else "gradient"
+    def dual_bound(self, V) -> np.ndarray:
+        """The span-norm certificate's bound on sup{v . f : ||f|| <= 1} for each
+        row v of the (m, dim) stack V: ``dual_norm_bound`` at q = p/(p-1), at
+        k = 0 for a Sobolev norm, and at the norm's own k, where it is the dual
+        norm itself, for the dual Sobolev norm."""
+        self._reject_lp("dual bound")
+        k = self.k if self.kind == "dual_sobolev" else 0
+        return sobolev_grid.dual_norm_bound(self.domain, k, self.p / (self.p - 1.0), V)
+
+    def _derivative(self, x, order: int) -> np.ndarray:
+        self._reject_lp(("gradient", "Hessian")[order - 1])
+        out = self._kernel(self._stack(x), order)[order]
+        return out[0] if np.ndim(x) == 1 else out
+
+    def _reject_lp(self, what: str):
         if self.kind == "lp":
             raise NotImplementedError(
                 f"lp norms are certified monotone; span_norm never needs their {what}")
-        if self.kind == "dual_sobolev" and self.p != 2.0:
-            raise NotImplementedError(f"{what} of the dual Sobolev norm needs p = 2")
-        Y = self._stack(x)
+
+    def _kernel(self, X: np.ndarray, order: int) -> tuple:
+        """The one evaluation path of every norm kind: values and, up to
+        ``order``, derivatives at the rows of the (m, dim) stack X."""
+        if self.kind == "lp":
+            return (np.sum(self.weights * np.abs(X) ** self.p, axis=1) ** (1.0 / self.p),)
         if self.kind == "sobolev":
-            out = sobolev_grid.sobolev_derivatives(self.domain, self.k, self.p, Y, hessian)
-        else:
-            out = sobolev_grid.negative_sobolev_derivatives(self.domain, self.k, Y, hessian)
-        return tuple(a[0] for a in out) if np.ndim(x) == 1 else out
+            return sobolev_grid.sobolev_kernel(self.domain, self.k, self.p, X, order)
+        return sobolev_grid.negative_sobolev_kernel(self.domain, self.k, self.p, X, order)
 
     def _stack(self, X, ndims=(1, 2)) -> np.ndarray:
         """X, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one."""

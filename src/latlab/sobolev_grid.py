@@ -191,56 +191,34 @@ def stacked_diff_operator(domain: GridDomain, k: int):
     return S, S.T.tocsr()
 
 
-def sobolev_norms(domain: GridDomain, k: int, p: float, X: np.ndarray):
-    """W^{k,p} norms of the rows of X, or the norm of the vector X (a 0-d array).
-
-    Each row is reduced along the last axis of a C-contiguous stack, so it
-    comes out bit for bit as a stack of that row alone.
-    """
-    U = np.ascontiguousarray((stacked_diff_operator(domain, k)[0] @ X.T).T)
-    return (domain.cell_measure * np.sum(np.abs(U) ** p, axis=-1)) ** (1.0 / p)
-
-
-def dual_norm_bound(domain: GridDomain, k: int, q: float, V: np.ndarray):
-    """The W^{k,q} norm of v / w for the vector V or each row v of V, evaluated
-    on v / max|v| so that no power under- or overflows (0 for v = 0).
-
-    It bounds sup{v . f : ||f|| <= 1} for every W^{k',p} norm at k = 0 and
-    q = p/(p-1), since ||f||_{k',p} >= w^(1/p) ||f||_p, and equals it for
-    the W^{-k,2} norm at q = 2.
-    """
-    top = np.max(np.abs(V), axis=-1)
-    nonzero = top > 0.0
-    scaled = V / np.where(nonzero, top, 1.0)[..., None]
-    bound = np.where(nonzero, top * sobolev_norms(domain, k, q, scaled), 0.0)
-    return (bound / domain.cell_measure)[()]
-
-
-def sobolev_derivatives(domain: GridDomain, k: int, p: float, Y: np.ndarray,
-                        hessian: bool = False):
-    """Values, gradients and, with ``hessian``, dense Hessians of the W^{k,p}
-    norm at the rows of the (m, N) stack Y, all from one product S Y^T.
+def sobolev_kernel(domain: GridDomain, k: int, p: float, Y: np.ndarray, order: int = 0):
+    """The W^{k,p} norms of the rows of the (m, N) stack Y and, up to
+    ``order``, their gradients (1) and dense Hessians (2), all from one
+    product S Y^T; a tuple of ``order + 1`` stacks.
 
     With u = S y and val = (w sum |u|^p)^(1/p), the gradient is
     w S^T(|u|^(p-1) sign u) val^(1-p) (a subgradient at kinks) and the
     Hessian (p-1) (w val^(1-p) S^T diag(|u|^(p-2)) S - g g^T / val), with |u|
     floored at 1e-8 max|u| so that 1 < p < 2 stays finite where u vanishes.
     Both are 0 at the origin.  Every row is reduced along the last axis, so
-    it comes out bit for bit as the stack of that row alone.
+    it comes out bit for bit as the stack of that row alone: ``NormSpec.value``,
+    a stack of one, and ``NormSpec.value_many`` agree bit for bit.
     """
     S, St = stacked_diff_operator(domain, k)
     w = domain.cell_measure
     U = np.ascontiguousarray((S @ Y.T).T)
     A = np.abs(U)
     val = (w * np.sum(A ** p, axis=-1)) ** (1.0 / p)
+    if not order:
+        return (val,)
     zero = val == 0.0
     vp = np.where(zero, 1.0, val) ** (1.0 - p)
     G = w * np.ascontiguousarray((St @ (A ** (p - 1.0) * np.sign(U)).T).T) * vp[:, None]
     G[zero] = 0.0
-    if not hessian:
+    if order == 1:
         return val, G
-    Sd, D = _dense_stacked_diff_operator(domain, k)
-    if p != 2.0:  # at p = 2 every weight |u|^(p-2) is 1, and D is S^T S itself
+    Sd, D = _dense_operators(domain, k)
+    if p != 2.0:  # at p = 2 every weight |u|^(p-2) is 1, and D is K itself
         A[zero] = 1.0
         D = (Sd.T * np.maximum(A, 1e-8 * A.max(axis=-1, keepdims=True))[:, None, :]
              ** (p - 2.0)) @ Sd
@@ -250,21 +228,25 @@ def sobolev_derivatives(domain: GridDomain, k: int, p: float, Y: np.ndarray,
     return val, G, H
 
 
-@functools.lru_cache(maxsize=64)
-def _dense_stacked_diff_operator(domain: GridDomain, k: int):
-    """Dense S and S^T S, read-only."""
-    S = stacked_diff_operator(domain, k)[0].toarray()
-    K = np.ascontiguousarray(S.T) @ S
-    S.setflags(write=False)
-    K.setflags(write=False)
-    return S, K
+def dual_norm_bound(domain: GridDomain, k: int, q: float, V: np.ndarray):
+    """The W^{k,q} norm of v / w for each row v of the (m, N) stack V,
+    evaluated on v / max|v| so that no power under- or overflows (0 for v = 0).
+
+    It bounds sup{v . f : ||f|| <= 1} for every W^{k',p} norm at k = 0 and
+    q = p/(p-1), since ||f||_{k',p} >= w^(1/p) ||f||_p, and equals it for
+    the W^{-k,p} norm at q = p/(p-1); ``NormSpec.dual_bound`` picks the pair.
+    """
+    top = np.max(np.abs(V), axis=1)
+    scaled = V / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * sobolev_kernel(domain, k, q, scaled)[0] / domain.cell_measure
 
 
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
-    """Discrete W^{k,p} norm: p-sum of f and its differences up to order k."""
+    """Discrete W^{k,p} norm: p-sum of f and its differences up to order k,
+    ``sobolev_kernel`` on f alone and so bit for bit f's row of any stack."""
     check_grid_order(f.domain, k)
     _check_p(p)
-    return float(sobolev_norms(f.domain, k, p, f.values))
+    return float(sobolev_kernel(f.domain, k, p, f.values[None])[0][0])
 
 
 def check_grid_order(domain: GridDomain, k: int) -> None:
@@ -281,9 +263,29 @@ def _check_p(p: float) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _sobolev_stiffness_factor(domain: GridDomain, k: int):
+def stiffness(domain: GridDomain, k: int) -> scipy.sparse.csr_matrix:
+    """K = S^T S in canonical CSR with read-only values, formed once per
+    (domain, k): the W^{-k,2} solve factors it, the M-matrix certificate reads
+    its arrays and the dense Hessians at p = 2 are K itself."""
     S, St = stacked_diff_operator(domain, k)
-    return scipy.sparse.linalg.splu((St @ S).tocsc())
+    K = St @ S
+    K.sum_duplicates()
+    K.data.setflags(write=False)
+    return K
+
+
+@functools.lru_cache(maxsize=64)
+def _sobolev_stiffness_factor(domain: GridDomain, k: int):
+    return scipy.sparse.linalg.splu(stiffness(domain, k).tocsc())
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_operators(domain: GridDomain, k: int):
+    """Dense S and K, read-only."""
+    S, K = stacked_diff_operator(domain, k)[0].toarray(), stiffness(domain, k).toarray()
+    S.setflags(write=False)
+    K.setflags(write=False)
+    return S, K
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,8 +301,7 @@ def stiffness_inverse_nonnegative(domain: GridDomain, k: int) -> bool:
     differences has positive off-diagonal entries, and K^{-1} can indeed
     have negative ones.
     """
-    S, St = stacked_diff_operator(domain, k)
-    z_matrix, margin, rounding = _m_matrix_margins((St @ S).tocsr())
+    z_matrix, margin, rounding = _m_matrix_margins(stiffness(domain, k))
     return bool(z_matrix and np.all(margin > rounding))
 
 
@@ -311,7 +312,6 @@ def _m_matrix_margins(K: scipy.sparse.csr_matrix):
 
     A margin above its bound makes the diagonal positive as well.
     """
-    K.sum_duplicates()
     n, counts = K.shape[0], np.diff(K.indptr)
     on_diag = K.indices == np.repeat(np.arange(n), counts)
     diag = np.zeros(n)
@@ -326,17 +326,15 @@ def _m_matrix_margins(K: scipy.sparse.csr_matrix):
 def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     """Dual norm sup <f,g>_h / ||f||_{k,q} over grid functions f.
 
-    Exact for p = 2 via one positive-definite solve.  For other p the value
-    is a projected-ascent lower bound, accepted only when the residual-based
-    duality gap is below 1e-4 relative.
+    ``negative_sobolev_kernel`` on g alone: exact for p = 2 via one
+    positive-definite solve; for other p a projected-ascent lower bound,
+    accepted only when the residual-based duality gap is below 1e-4 relative.
     """
     if k < 1:
         raise ValueError("negative order requires k >= 1")
     check_grid_order(g.domain, k)
     _check_p(p)
-    if p == 2.0:
-        return float(negative_sobolev_norms(g.domain, k, g.values))
-    return _negative_norm_ascent(g, k, p)
+    return float(negative_sobolev_kernel(g.domain, k, p, g.values[None])[0][0])
 
 
 def row_dots(U: np.ndarray, V: np.ndarray):
@@ -346,74 +344,67 @@ def row_dots(U: np.ndarray, V: np.ndarray):
     return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 
-def negative_sobolev_norms(domain: GridDomain, k: int, X: np.ndarray):
-    """W^{-k,2} norms sqrt(w x^T K^{-1} x), K = S^T S, of the rows x of X, or
-    the norm of the vector X (a 0-d array); rows reduce as in ``sobolev_norms``."""
-    U = np.ascontiguousarray(_sobolev_stiffness_factor(domain, k).solve(X.T).T)
-    return np.sqrt(np.maximum(domain.cell_measure * row_dots(U, X), 0.0))
+def negative_sobolev_kernel(domain: GridDomain, k: int, p: float, Y: np.ndarray,
+                            order: int = 0):
+    """The W^{-k,p} norms of the rows of the (m, N) stack Y and, up to
+    ``order``, their gradients and dense Hessians, as ``sobolev_kernel``.
 
-
-def negative_sobolev_derivatives(domain: GridDomain, k: int, Y: np.ndarray,
-                                 hessian: bool = False):
-    """Values, gradients w K^{-1} y / val and, with ``hessian``, dense Hessians
-    (w K^{-1} - g g^T) / val of the W^{-k,2} norm at the rows of the (m, N)
-    stack Y, from one solve with the factored stiffness K = S^T S.
-
-    Both are 0 at the origin; rows reduce as in ``sobolev_derivatives``.
+    At p = 2 all come from one solve with the factored stiffness K: values
+    sqrt(w y^T K^{-1} y), gradients w K^{-1} y / val and Hessians
+    (w K^{-1} - g g^T) / val, both 0 at the origin; rows reduce as in
+    ``sobolev_kernel``, so a vector and its row of a stack agree bit for bit.
+    At other p each value is one row's certified ascent, with no derivatives.
     """
+    if p != 2.0:
+        if order:
+            raise NotImplementedError("derivatives of the dual Sobolev norm need p = 2")
+        return (np.array([_negative_norm_ascent(domain, k, p, y) for y in Y]),)
     m, n = Y.shape
     w = domain.cell_measure
     V = _sobolev_stiffness_factor(domain, k).solve(
-        np.hstack([Y.T, np.eye(n)]) if hessian else Y.T)
+        np.hstack([Y.T, np.eye(n)]) if order == 2 else Y.T)
     U = np.ascontiguousarray(V[:, :m].T)
     val = np.sqrt(np.maximum(w * row_dots(U, Y), 0.0))
+    if not order:
+        return (val,)
     zero = val == 0.0
     scale = np.where(zero, 1.0, val)
     G = w * U / scale[:, None]
     G[zero] = 0.0
-    if not hessian:
+    if order == 1:
         return val, G
     H = (w * V[:, m:] - G[:, :, None] * G[:, None, :]) / scale[:, None, None]
     H[zero] = 0.0
     return val, G, H
 
 
-def _negative_norm_ascent(g: GridFunction, k: int, p: float) -> float:
+def _negative_norm_ascent(domain: GridDomain, k: int, p: float, gv: np.ndarray) -> float:
     q = p / (p - 1.0)
-    dom, w = g.domain, g.domain.cell_measure
-    gv = g.values
+    w = domain.cell_measure
     if not np.any(gv):
         return 0.0
     # warm start at the p=2 maximizer
-    f0 = _sobolev_stiffness_factor(dom, k).solve(gv)
-    n0 = float(sobolev_norms(dom, k, q, f0))
+    f0 = _sobolev_stiffness_factor(domain, k).solve(gv)
+    n0 = sobolev_kernel(domain, k, q, f0[None])[0][0]
     f0 = f0 / n0 if n0 > 0 else np.ones_like(gv)
-
-    def value_grad(f):
-        val, grad = sobolev_derivatives(dom, k, q, f[None, :])
-        return float(val[0]), grad[0]
 
     def neg_obj(f):
         return -w * float(f @ gv), -w * gv
 
-    def constraint(f):
-        val, grad = value_grad(f)
-        return 1.0 - val, -grad
-
     res = scipy.optimize.minimize(
         neg_obj, f0, jac=True, method="SLSQP",
         constraints=[{"type": "ineq",
-                      "fun": lambda f: constraint(f)[0],
-                      "jac": lambda f: constraint(f)[1]}],
+                      "fun": lambda f: 1.0 - sobolev_kernel(domain, k, q, f[None])[0][0],
+                      "jac": lambda f: -sobolev_kernel(domain, k, q, f[None], 1)[1][0]}],
         options={"maxiter": 400, "ftol": 1e-14},
     )
     fstar = res.x
-    norm_f, grad_f = value_grad(fstar)
+    (norm_f,), grad_f = sobolev_kernel(domain, k, q, fstar[None], 1)
     if norm_f <= 0:
         raise ConvergenceError("degenerate ascent iterate", best=0.0)
     lower = w * float(fstar @ gv) / norm_f
     # certificate: w g = lower * grad(||f||) + r, and r . f <= the dual bound of r
-    rel_gap = dual_norm_bound(dom, 0, p, w * gv - lower * grad_f) / max(lower, 1e-300)
+    rel_gap = dual_norm_bound(domain, 0, p, w * gv - lower * grad_f)[0] / max(lower, 1e-300)
     if rel_gap > 1e-4:
         raise ConvergenceError(
             f"duality gap {rel_gap:.2e} above 1e-4", best=lower,

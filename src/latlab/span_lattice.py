@@ -17,7 +17,7 @@ import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import OrderedSpaceSpec
-from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, dual_norm_bound, row_dots
+from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, row_dots
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +42,6 @@ _ARMIJO = 1e-4            # fraction of the predicted decrease a step must achie
 _BACKTRACKS = 40          # step halvings before a line search gives up
 _ROUNDING = 8.0 * np.finfo(float).eps  # relative rounding a step's objective may show
 _SPAN_EPS = 1e-9          # widest band above 0 in which a coordinate counts as active
-
-
-def _dual_norm_bound(norm, V):
-    """``dual_norm_bound`` of v, or of each row v of V, for W^{k,p} at (0, p/(p-1)),
-    or for W^{-k,2} at (k, 2)."""
-    if norm.kind == "dual_sobolev":
-        return dual_norm_bound(norm.domain, norm.k, 2.0, V)
-    return dual_norm_bound(norm.domain, 0, norm.p / (norm.p - 1.0), V)
 
 
 def _finite_stack(space: OrderedSpaceSpec, x, ndims=(1, 2)) -> np.ndarray:
@@ -146,7 +138,7 @@ def _span_newton(norm, X, XP, XM, results) -> list[int]:
         r = np.maximum(-g, 0.0)
         lower[live] = np.minimum(
             fl, (row_dots(ga, a) + row_dots(gb, b) + row_dots(r, a + b) / 2.0)
-            / (1.0 + _dual_norm_bound(norm, r / 2.0)))
+            / (1.0 + norm.dual_bound(r / 2.0)))
         going = fl - lower[live] > _SPAN_GAP_TOL * fl
         if not going.all():
             live, a, b, s, fl, g = live[going], a[going], b[going], s[going], fl[going], g[going]
@@ -220,7 +212,8 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     that a ConvergenceError refuses: its ``best`` is the inexact
     RenormResult at |x| and ``diagnostics["bracket"]`` holds the certified
     bounds (||(|x|)||, sum_j |x_j| ||e_j||) of the maximum.  A non-finite
-    entry of x is rejected before any evaluation.
+    entry of x is rejected before any evaluation, and a value that under- or
+    overflows to 0 or inf for a nonzero x raises a ValueError that says so.
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
@@ -230,18 +223,24 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
         return RenormResult(0.0, True, np.zeros_like(x))
     d = space.dim
     norm = space.norm
-    if norm.monotone:
-        return RenormResult(norm.value(ax), True, ax)
-    if d <= RENORM_EXACT_MAX_DIM:
-        masks = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(float)
-        vals = norm.value_many(masks * ax)
-        i = int(np.argmax(vals))
-        return RenormResult(float(vals[i]), True, masks[i] * ax)
-    low, high = norm.value(ax), float(norm.value_many(np.eye(d)) @ ax)
+    exact = norm.monotone or d <= RENORM_EXACT_MAX_DIM
+    with np.errstate(over="ignore"):
+        if exact and not norm.monotone:
+            W = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1) * ax
+            vals = norm.value_many(W)
+            value, maximizer = float(np.max(vals)), W[np.argmax(vals)]
+        else:
+            value, maximizer = norm.value(ax), ax
+    if value == 0.0 or value == np.inf:
+        raise ValueError(f"the renorm {'underflows to 0' if value == 0.0 else 'overflows to inf'}"
+                         f" at max|x| = {np.max(ax):.6g}")
+    if exact:
+        return RenormResult(value, True, maximizer)
+    high = float(norm.value_many(np.eye(d)) @ ax)
     raise ConvergenceError(
         f"renorm of a norm not certified monotone is exact only up to dim "
-        f"{RENORM_EXACT_MAX_DIM}, got {d}; bracket [{low:.6g}, {high:.6g}]",
-        best=RenormResult(low, False, ax), diagnostics={"bracket": (low, high)},
+        f"{RENORM_EXACT_MAX_DIM}, got {d}; bracket [{value:.6g}, {high:.6g}]",
+        best=RenormResult(value, False, ax), diagnostics={"bracket": (value, high)},
     )
 
 

@@ -206,9 +206,9 @@ class TestStiffnessCertificate:
     ], ids=["interval-n10", "interval-8-n128", "torus-n16", "rectangle-n6"])
     @pytest.mark.parametrize("k", [1, 2])
     def test_margins_from_the_csr_arrays_match_the_dense_formula(self, domain, k):
-        S, St = stacked_diff_operator(domain, k)
-        K = (St @ S).tocsr()
-        z_matrix, margin, rounding = sobolev_grid._m_matrix_margins(K.copy())
+        K = sobolev_grid.stiffness(domain, k)
+        assert K.has_canonical_format
+        z_matrix, margin, rounding = sobolev_grid._m_matrix_margins(K)
         D = K.toarray()
         diag = np.diag(D)
         off = D - np.diag(diag)
@@ -234,8 +234,8 @@ class TestStiffnessCertificate:
                              ids=["dominant-not-z", "z-not-dominant"])
     def test_each_condition_is_needed(self, S, monkeypatch):
         S = scipy.sparse.csr_matrix(np.array(S))
-        monkeypatch.setattr(sobolev_grid, "stacked_diff_operator",
-                            lambda domain, k: (S, S.T.tocsr()))
+        # the fake K replaces the cached stiffness for this call alone
+        monkeypatch.setattr(sobolev_grid, "stiffness", lambda domain, k: (S.T @ S).tocsr())
         domain = GridDomain.interval(0.0, 1.0, 4)
         assert not stiffness_inverse_nonnegative.__wrapped__(domain, 1)
 
@@ -247,7 +247,7 @@ class TestStiffnessCertificate:
 class TestMollify:
     def test_bump_integral_one(self):
         t = np.linspace(-1.5, 1.5, 30001)
-        assert np.trapezoid(bump(t), t) == pytest.approx(1.0, abs=1e-8)
+        assert scipy.integrate.trapezoid(bump(t), t) == pytest.approx(1.0, abs=1e-8)
 
     def test_bump_normalizer_is_the_quadrature(self):
         integral, err = scipy.integrate.quad(

@@ -18,7 +18,6 @@ from latlab.sobolev_grid import (
 from latlab.span_lattice import (
     ApproximationScheme,
     PeriodicCorrelation,
-    _dual_norm_bound,
     _iterate_sup,
     constructive_sup,
     constructive_sup_dual,
@@ -239,7 +238,7 @@ class TestSpanNorm:
         rng = np.random.default_rng(8)
         for _ in range(50):
             v, u = rng.standard_normal((2, norm.dim))
-            assert v @ u <= _dual_norm_bound(norm, v) * norm.value(u) * (1.0 + 1e-12)
+            assert v @ u <= norm.dual_bound(v[None])[0] * norm.value(u) * (1.0 + 1e-12)
         if norm.kind == "dual_sobolev":
             # the bound is the dual norm itself, attained at u = K v
             S, _ = stacked_diff_operator(norm.domain, norm.k)
@@ -248,7 +247,7 @@ class TestSpanNorm:
         else:
             # differences vanish on constants, where only the identity block counts
             v = u = np.ones(norm.dim)
-        assert v @ u == pytest.approx(_dual_norm_bound(norm, v) * norm.value(u), rel=1e-12)
+        assert v @ u == pytest.approx(norm.dual_bound(v[None])[0] * norm.value(u), rel=1e-12)
 
     @given(st.sampled_from(_MONOTONE_FAMILIES), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -468,6 +467,19 @@ class TestRenormValue:
         bound = sum(abs(xj) * space.norm.value(e) for xj, e in zip(x, np.eye(20)))
         assert high == pytest.approx(bound, rel=1e-12)
         assert low < high
+
+    @pytest.mark.parametrize("make", [
+        lambda: OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0.0, 1.0, 8), 1, 2.0),
+        lambda: l2_space(8),
+    ], ids=["w12-interval-n8", "l2-dim8"])
+    @pytest.mark.parametrize("scale, what", [(1e-300, "underflows to 0"),
+                                             (1e200, "overflows to inf")])
+    def test_under_and_overflow_raise(self, make, scale, what):
+        # the norm of |x| under- or overflows to 0 or inf: not an exact renorm
+        x = np.zeros(8)
+        x[:2] = scale, -scale
+        with pytest.raises(ValueError, match=f"^the renorm {what} at max"):
+            renorm_value(make(), x)
 
 
 class TestRenormBounds:
