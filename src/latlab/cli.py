@@ -43,6 +43,7 @@ from .ordered_space import (
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
+    as_stack,
     normality_constant_lower_bound,
 )
 from .sobolev_grid import (
@@ -135,24 +136,22 @@ _SUP_CURVATURE = 0.005
 
 
 def _sup_verdicts(compute, Z: np.ndarray) -> list[tuple[float, bool, dict]]:
-    """Gap max|s - |z||, verdict and witness of each column z of Z.
+    """Gap max|s - |z||, verdict and witness of each row z of the stack Z.
 
-    ``compute()`` is the supremum of the batch Z.  Its ConvergenceError names
-    the failed columns; each fails with a witness holding its message and
-    Cauchy increments.  Gaps are taken at the best iterates, NaN without one.
-    A converged column fails when its gap exceeds ``_SUP_GAP_MAX``, with a
-    witness naming both; a passing column's witness goes unused.
+    ``compute()`` is the supremum of the stack Z.  Its ConvergenceError names
+    the failed rows; each fails with a witness holding its message and
+    Cauchy increments.  Gaps are taken at the best iterates.  A converged
+    row fails when its gap exceeds ``_SUP_GAP_MAX``, with a witness naming
+    both; a passing row's witness goes unused.
     """
     try:
         S, failed = compute(), {}
     except ConvergenceError as exc:
-        S, failed = exc.best, exc.diagnostics["columns"]
-    out = []
-    for j in range(Z.shape[1]):
-        gap = float("nan") if S is None else float(np.max(np.abs(S[:, j] - np.abs(Z[:, j]))))
-        ok = j not in failed and gap <= _SUP_GAP_MAX
-        out.append((gap, ok, failed.get(j) or {"gap": gap, "gap_threshold": _SUP_GAP_MAX}))
-    return out
+        S, failed = exc.best, exc.diagnostics["rows"]
+    gaps = np.max(np.abs(S - np.abs(Z)), axis=1).tolist()
+    return [(gap, j not in failed and gap <= _SUP_GAP_MAX,
+             failed.get(j) or {"gap": gap, "gap_threshold": _SUP_GAP_MAX})
+            for j, gap in enumerate(gaps)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,8 @@ def _run_sup_construct(cfg: dict, sup) -> list[dict]:
         raise UsageError(f"cannot build scheme {family!r}: {exc}") from exc
     tol = cfg["scheme"]["tol"]
     rng = np.random.default_rng(cfg["seed"])
-    Z = np.column_stack([_trig_profile(rng, domain.axis(0), _SUP_CURVATURE)
-                         for _ in range(cfg["samples"])])
+    Z = np.array([_trig_profile(rng, domain.axis(0), _SUP_CURVATURE)
+                  for _ in range(cfg["samples"])])
     verdicts = _sup_verdicts(lambda: sup(scheme, Z, tol), Z)
     params = {"domain": domain.kind, "grid_n": domain.n, "scheme": family, "tol": tol}
     return [_row(cfg, f"z{i:03d}", params, {"gap": gap}, ok, witness)
@@ -273,7 +272,8 @@ def _run_boundary_chart_audit(cfg: dict) -> list[dict]:
 
 
 def _run_pushin_audit(cfg: dict) -> list[dict]:
-    ns = tuple(cfg["ns"])
+    # the convergence row compares the errors in increasing n
+    ns = tuple(sorted(cfg["ns"]))
     rows = []
     for domain in (_AUDIT_DOMAINS[kind](cfg) for kind in cfg["domains"]):
         pts = domain.points()
@@ -293,14 +293,9 @@ def _run_pushin_audit(cfg: dict) -> list[dict]:
                     raise UsageError(f"order.p = {p!r} is too large for the audit: the L^p "
                                      f"error of S_n f - f is {errs[-1]:g} at n = {n}")
             outside = ~op.node_in_k(pts)
-            worst_support, worst_neg = 0.0, 0.0
-            for _ in range(cfg["samples"]):
-                f = rng.standard_normal(domain.node_count)
-                sf = op.matrix @ f
-                if outside.any():
-                    worst_support = max(worst_support, float(np.max(np.abs(sf[outside]))))
-                sf_pos = op.matrix @ np.abs(f)
-                worst_neg = min(worst_neg, float(np.min(sf_pos)))
+            F = rng.standard_normal((cfg["samples"], domain.node_count))
+            worst_support = float(np.max(np.abs(op.matrix @ F.T)[outside], initial=0.0))
+            worst_neg = min(0.0, float(np.min(op.matrix @ np.abs(F).T)))
             rows.append(_row(cfg, f"{domain.kind}-n{n}",
                              {"domain": domain.kind, "grid_n": domain.n, "n": n},
                              {"outside_max": worst_support, "min_positive_image": worst_neg},
@@ -385,7 +380,7 @@ def _run_extrapolation_demo(cfg: dict) -> list[dict]:
     cases.append(("resolvent-identity", resid, resid <= 1e-9, {"residual": resid}))
 
     space = ExtrapolationSpace(base, gen, lam=1.0)
-    Z = _trig_profile(rng, domain.axis(0), curvature=40.0)[:, None]
+    Z = _trig_profile(rng, domain.axis(0), curvature=40.0)[None]
     ((gap, ok, witness),) = _sup_verdicts(
         lambda: extrapolation.theorem41_sup(space, Z, tol=cfg["scheme"]["tol"]), Z)
     cases.append(("theorem41-sup-gap", gap, ok, witness))
@@ -411,7 +406,7 @@ _RENORM_SPACES = {
 
 def estimate_renorm_constants(space: OrderedSpaceSpec,
                               xs) -> tuple[float, float, list[tuple[float, float]]]:
-    """Witness-based M and C on a sample set, and each sample's two norms.
+    """Witness-based M and C on the samples, the rows of xs, and their two norms.
 
     The witness family per sample x: the positive parts against |x|, the
     exact renorm maximizer against |x|, and the positive parts against the
@@ -423,21 +418,18 @@ def estimate_renorm_constants(space: OrderedSpaceSpec,
     the third result holds them for every sample in order, the inputs of
     ``renorm_bounds_check``.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    norms, maximizers = [], []
-    for x in xs:
-        nx, ren = space.norm.value(x), renorm_value(space, x)
-        norms.append((nx, ren.value))
-        maximizers.append(ren.maximizer)
+    X = as_stack(xs, space.dim, (2,))
+    renorms = [renorm_value(space, x) for x in X]
+    norms = [(space.norm.value(x), ren.value) for x, ren in zip(X, renorms)]
     nonzero = [i for i, (nx, _) in enumerate(norms) if nx != 0.0]
     if not nonzero:
         raise ValueError("all samples were zero")
     witnesses, span_ratios = [], []
-    for i, dec in zip(nonzero, span_norm(space, np.array([xs[i] for i in nonzero]))):
-        x = xs[i]
+    for i, dec in zip(nonzero, span_norm(space, X[nonzero])):
+        x = X[i]
         ax = np.abs(x)
         xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
-        witnesses += [(xp, ax), (xm, ax), (maximizers[i], ax), (xp, dec.y), (xm, dec.z)]
+        witnesses += [(xp, ax), (xm, ax), (renorms[i].maximizer, ax), (xp, dec.y), (xm, dec.z)]
         span_ratios.append(dec.value / norms[i][0])
     keep = np.any([b for _, b in witnesses], axis=1)
     witnesses = [pair for pair, kept in zip(witnesses, keep) if kept]

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator
 
-from .ordered_space import OrderedSpaceSpec
+from .ordered_space import OrderedSpaceSpec, as_stack
 from .span_lattice import ApproximationScheme, constructive_sup
 
 FINITE_DIMENSION_CAVEAT = (
@@ -202,14 +202,12 @@ class ExtrapolationSpace:
 def extrapolation_norm(space: ExtrapolationSpace, x) -> float | np.ndarray:
     """||(lam - A)^{-1} x|| in the base norm.
 
-    ``x`` is one vector (a float is returned) or a 2-D array of vectors as
-    rows (one norm per row is returned), resolved in one operator product.
+    ``x`` is one vector (a float is returned) or an (m, dim) stack of rows
+    (one norm per row is returned), resolved in one operator product.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != space.base.dim:
-        raise ValueError("vector dimension mismatch")
-    values = space.base.norm.value_many((space.resolvent_operator @ np.atleast_2d(x).T).T)
-    return float(values[0]) if x.ndim == 1 else values
+    X = as_stack(x, space.base.dim)
+    values = space.base.norm.value_many((space.resolvent_operator @ X.T).T)
+    return float(values[0]) if np.ndim(x) == 1 else values
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,8 @@ def resolvent_scheme(gen: GeneratorMatrix) -> ApproximationScheme:
 
 
 def theorem41_sup(space: ExtrapolationSpace, z, tol: float) -> np.ndarray:
-    """Supremum of -z and z through the resolvent approximants."""
+    """Supremum of -z and z through the resolvent approximants: ``constructive_sup``
+    of the vector z (N,) or of the rows of the stack z (m, N)."""
     return constructive_sup(resolvent_scheme(space.generator), z, tol)
 
 

@@ -27,6 +27,25 @@ class DegenerateConeError(ValueError):
     """The inequality system does not describe a pointed solid cone."""
 
 
+def as_stack(x, dim: int, ndims=(1, 2), finite: bool = False) -> np.ndarray:
+    """x, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one.
+
+    The one shape check of every function that takes vectors: any other
+    shape raises ``expected vectors of length {dim}``.  With ``finite`` a NaN
+    or inf is rejected by its position, ``entry j`` of a vector or
+    ``row i, entry j`` of a stack.
+    """
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in ndims or X.shape[-1] != dim:
+        raise ValueError(f"expected vectors of length {dim}")
+    X = X if X.ndim == 2 else X[None]
+    if finite and not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        where = f"row {i}, entry {j}" if np.ndim(x) == 2 else f"entry {j}"
+        raise ValueError(f"{where} of x is {X[i, j]}, not finite")
+    return X
+
+
 # ---------------------------------------------------------------------------
 # Polyhedral cones
 # ---------------------------------------------------------------------------
@@ -71,17 +90,21 @@ class PolyhedralCone:
 
     @classmethod
     def standard(cls, dim: int) -> "PolyhedralCone":
-        return cls(dim, np.eye(dim))
+        """The cone x >= 0, whose ``ineq`` is a read-only identity that stores
+        2 dim - 1 floats: entry (i, j) is entry dim - 1 - i + j of one unit vector."""
+        unit = np.zeros(2 * dim - 1)
+        unit[dim - 1] = 1.0
+        step = unit.itemsize
+        return cls(dim, np.ndarray((dim, dim), buffer=unit, offset=(dim - 1) * step,
+                                   strides=(-step, step)))
 
     def is_standard(self) -> bool:
         return self._standard
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
         """Whether the vector x, or every row of the stack x, lies in the cone."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ValueError(f"expected vectors of length {self.dim}, got shape {x.shape}")
-        return bool(np.all((x if self._standard else self.ineq @ x.T) >= -tol))
+        X = as_stack(x, self.dim)
+        return bool(np.all((X if self._standard else self.ineq @ X.T) >= -tol))
 
 
 def _interior_point_value(cone: PolyhedralCone) -> float:
@@ -184,15 +207,15 @@ def in_generated_cone(generators: np.ndarray, x) -> bool:
 class NormSpec:
     """Evaluable norm: weighted lp, discrete Sobolev, or its dual.
 
-    The Sobolev kinds carry the grid they live on.  Weighted lp admits
-    p = 1 as well (the decomposition examples need it); the Sobolev kinds
-    require p strictly between 1 and infinity and an order k the grid
-    resolves.  Construction checks homogeneity, the triangle inequality and
-    finiteness on seeded random samples, all evaluated in one ``value_many``
-    call.  ``monotone`` certifies ||u|| <= ||v|| for 0 <= u <= v, which
-    gives the span norm and the renorm in closed form.  Every evaluation
-    goes through one kernel per kind on a stack, so ``value(x)`` equals
-    ``value_many`` of x alone, and x's row of any stack, bit for bit.
+    The Sobolev kinds carry the grid they live on and take the arguments
+    that ``sobolev_grid.check_sobolev_args`` accepts; weighted lp admits
+    p = 1 as well (the decomposition examples need it).  Construction
+    checks homogeneity, the triangle inequality and finiteness on seeded
+    random samples, all evaluated in one ``value_many`` call.  ``monotone``
+    certifies ||u|| <= ||v|| for 0 <= u <= v, which gives the span norm and
+    the renorm in closed form.  Every evaluation goes through one kernel per
+    kind on a stack, so ``value(x)`` equals ``value_many`` of x alone, and
+    x's row of any stack, bit for bit.
     """
 
     kind: str                                # "lp" | "sobolev" | "dual_sobolev"
@@ -215,12 +238,9 @@ class NormSpec:
         elif self.kind in ("sobolev", "dual_sobolev"):
             if self.domain is None:
                 raise ValueError(f"{self.kind} norm needs a grid domain")
-            if not (1.0 < self.p < np.inf):
-                raise ValueError("Sobolev norms need p strictly between 1 and infinity")
-            if self.kind == "dual_sobolev" and self.k < 1:
-                raise ValueError("dual Sobolev norm needs k >= 1")
             # value_many skips the check that the scalar Sobolev norms make
-            sobolev_grid.check_grid_order(self.domain, self.k)
+            sobolev_grid.check_sobolev_args(self.domain, self.k, self.p,
+                                            dual=self.kind == "dual_sobolev")
         else:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         self._sampled_norm_checks()
@@ -262,19 +282,17 @@ class NormSpec:
 
     def value(self, x) -> float:
         """The norm of the vector x, bit for bit ``value_many`` of x alone."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}")
+        X = as_stack(x, self.dim, (1,))
         if self.kind == "lp":
-            return float(self._kernel(x[None], 0)[0][0])
-        gf = GridFunction(self.domain, x)
+            return float(self._kernel(X, 0)[0][0])
+        gf = GridFunction(self.domain, X[0])
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_norm(gf, self.k, self.p)
         return sobolev_grid.negative_sobolev_norm(gf, self.k, self.p)
 
     def value_many(self, X) -> np.ndarray:
         """Norms of the rows of X (a vector is a stack of one)."""
-        return self._kernel(self._stack(X), 0)[0]
+        return self._kernel(as_stack(X, self.dim), 0)[0]
 
     def grad(self, x) -> np.ndarray:
         """Gradient of a Sobolev norm or its dual (a subgradient at kinks; 0 at the origin)
@@ -301,7 +319,7 @@ class NormSpec:
 
     def _derivative(self, x, order: int) -> np.ndarray:
         self._reject_lp(("gradient", "Hessian")[order - 1])
-        out = self._kernel(self._stack(x), order)[order]
+        out = self._kernel(as_stack(x, self.dim), order)[order]
         return out[0] if np.ndim(x) == 1 else out
 
     def _reject_lp(self, what: str):
@@ -317,13 +335,6 @@ class NormSpec:
         if self.kind == "sobolev":
             return sobolev_grid.sobolev_kernel(self.domain, self.k, self.p, X, order)
         return sobolev_grid.negative_sobolev_kernel(self.domain, self.k, self.p, X, order)
-
-    def _stack(self, X, ndims=(1, 2)) -> np.ndarray:
-        """X, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim not in ndims or X.shape[-1] != self.dim:
-            raise ValueError(f"expected vectors of length {self.dim}")
-        return np.atleast_2d(X)
 
     def _sampled_norm_checks(self):
         rng = np.random.default_rng(20240)
@@ -390,10 +401,7 @@ def supremum_oracle(space: OrderedSpaceSpec, x, y, *, seed: int = 0):
     minimum sits at a vertex: the vertices are enumerated once and each
     direction takes its minimizer among them.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (space.dim,) or y.shape != (space.dim,):
-        raise ValueError("vectors must match the space dimension")
+    (x,), (y,) = (as_stack(v, space.dim, (1,)) for v in (x, y))
     if space.cone.is_standard():
         return np.maximum(x, y)
     A = space.cone.ineq
@@ -426,9 +434,7 @@ def normality_constant_lower_bound(space: OrderedSpaceSpec, witnesses) -> float:
     witnesses = list(witnesses)
     if not witnesses:
         raise ValueError("need at least one witness pair")
-    X, Y = (np.array(side, dtype=float) for side in zip(*witnesses))
-    if X.shape != Y.shape or X.shape[1:] != (space.dim,):
-        raise ValueError(f"expected witness vectors of length {space.dim}")
+    X, Y = (as_stack(side, space.dim, (2,)) for side in zip(*witnesses))
     if not space.cone.contains(X):
         raise ValueError("witness x is not in the cone")
     if not space.cone.contains(Y - X):
@@ -459,12 +465,9 @@ def is_face(image_generators, ambient: PolyhedralCone, *, sample_size: int = 512
     ``_vertices`` enumerates, and tests membership in the generated cone by
     nonnegative least squares.
     """
-    G = np.atleast_2d(np.asarray(image_generators, dtype=float))
-    if G.shape[1] != ambient.dim:
-        raise ValueError("generator dimension mismatch")
-    for g in G:
-        if not ambient.contains(g, tol=1e-8):
-            raise ValueError("generator outside the ambient cone")
+    G = as_stack(image_generators, ambient.dim)
+    if not ambient.contains(G, tol=1e-8):
+        raise ValueError("generator outside the ambient cone")
     rng = np.random.default_rng(seed)
     A = ambient.ineq
     checked = 0

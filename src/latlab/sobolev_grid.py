@@ -244,8 +244,7 @@ def dual_norm_bound(domain: GridDomain, k: int, q: float, V: np.ndarray):
 def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: p-sum of f and its differences up to order k,
     ``sobolev_kernel`` on f alone and so bit for bit f's row of any stack."""
-    check_grid_order(f.domain, k)
-    _check_p(p)
+    check_sobolev_args(f.domain, k, p)
     return float(sobolev_kernel(f.domain, k, p, f.values[None])[0][0])
 
 
@@ -257,7 +256,13 @@ def check_grid_order(domain: GridDomain, k: int) -> None:
         raise ValueError(f"order k={k} too large for {domain.n}-point grid")
 
 
-def _check_p(p: float) -> None:
+def check_sobolev_args(domain: GridDomain, k: int, p: float, dual: bool = False) -> None:
+    """The one check of the arguments of a W^{k,p} norm, or with ``dual`` of
+    its dual W^{-k,p}: k >= 1 for the dual, ``check_grid_order``, and p
+    strictly between 1 and infinity."""
+    if dual and k < 1:
+        raise ValueError("negative order requires k >= 1")
+    check_grid_order(domain, k)
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie strictly between 1 and infinity, got {p}")
 
@@ -328,13 +333,16 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
 
     ``negative_sobolev_kernel`` on g alone: exact for p = 2 via one
     positive-definite solve; for other p a projected-ascent lower bound,
-    accepted only when the residual-based duality gap is below 1e-4 relative.
+    accepted only when the residual-based duality gap is below 1e-4 relative;
+    otherwise the kernel's ConvergenceError names g as row 0, its ``best``
+    the bound found.
     """
-    if k < 1:
-        raise ValueError("negative order requires k >= 1")
-    check_grid_order(g.domain, k)
-    _check_p(p)
-    return float(negative_sobolev_kernel(g.domain, k, p, g.values[None])[0][0])
+    check_sobolev_args(g.domain, k, p, dual=True)
+    try:
+        return float(negative_sobolev_kernel(g.domain, k, p, g.values[None])[0][0])
+    except ConvergenceError as exc:
+        exc.best = float(exc.best[0])
+        raise
 
 
 def row_dots(U: np.ndarray, V: np.ndarray):
@@ -353,12 +361,20 @@ def negative_sobolev_kernel(domain: GridDomain, k: int, p: float, Y: np.ndarray,
     sqrt(w y^T K^{-1} y), gradients w K^{-1} y / val and Hessians
     (w K^{-1} - g g^T) / val, both 0 at the origin; rows reduce as in
     ``sobolev_kernel``, so a vector and its row of a stack agree bit for bit.
-    At other p each value is one row's certified ascent, with no derivatives.
+    At other p each value is one row's certified ascent, with no derivatives;
+    the rows whose ascent is not certified raise one ConvergenceError, its
+    ``best`` the values and ``diagnostics["rows"][j]`` the failure of row j.
     """
     if p != 2.0:
         if order:
             raise NotImplementedError("derivatives of the dual Sobolev norm need p = 2")
-        return (np.array([_negative_norm_ascent(domain, k, p, y) for y in Y]),)
+        ascents = [_negative_norm_ascent(domain, k, p, y) for y in Y]
+        val = np.array([value for value, _ in ascents])
+        failed = {j: failure for j, (_, failure) in enumerate(ascents) if failure}
+        if failed:
+            raise ConvergenceError("; ".join(f"row {j}: {f['error']}" for j, f in failed.items()),
+                                   best=val, diagnostics={"rows": failed})
+        return (val,)
     m, n = Y.shape
     w = domain.cell_measure
     V = _sobolev_stiffness_factor(domain, k).solve(
@@ -378,11 +394,13 @@ def negative_sobolev_kernel(domain: GridDomain, k: int, p: float, Y: np.ndarray,
     return val, G, H
 
 
-def _negative_norm_ascent(domain: GridDomain, k: int, p: float, gv: np.ndarray) -> float:
+def _negative_norm_ascent(domain: GridDomain, k: int, p: float, gv: np.ndarray):
+    """The certified lower bound of ||gv||_{-k,p} and None, or the best
+    bound and the failure, an ``error`` message and the ``gap`` if any."""
     q = p / (p - 1.0)
     w = domain.cell_measure
     if not np.any(gv):
-        return 0.0
+        return 0.0, None
     # warm start at the p=2 maximizer
     f0 = _sobolev_stiffness_factor(domain, k).solve(gv)
     n0 = sobolev_kernel(domain, k, q, f0[None])[0][0]
@@ -401,16 +419,13 @@ def _negative_norm_ascent(domain: GridDomain, k: int, p: float, gv: np.ndarray) 
     fstar = res.x
     (norm_f,), grad_f = sobolev_kernel(domain, k, q, fstar[None], 1)
     if norm_f <= 0:
-        raise ConvergenceError("degenerate ascent iterate", best=0.0)
+        return 0.0, {"error": "degenerate ascent iterate"}
     lower = w * float(fstar @ gv) / norm_f
     # certificate: w g = lower * grad(||f||) + r, and r . f <= the dual bound of r
     rel_gap = dual_norm_bound(domain, 0, p, w * gv - lower * grad_f)[0] / max(lower, 1e-300)
     if rel_gap > 1e-4:
-        raise ConvergenceError(
-            f"duality gap {rel_gap:.2e} above 1e-4", best=lower,
-            diagnostics={"gap": rel_gap},
-        )
-    return float(lower)
+        return lower, {"error": f"duality gap {rel_gap:.2e} above 1e-4", "gap": rel_gap}
+    return float(lower), None
 
 
 # ---------------------------------------------------------------------------

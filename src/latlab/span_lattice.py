@@ -16,7 +16,7 @@ import numpy as np
 import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
-from .ordered_space import OrderedSpaceSpec
+from .ordered_space import OrderedSpaceSpec, as_stack
 from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, row_dots
 
 
@@ -42,16 +42,6 @@ _ARMIJO = 1e-4            # fraction of the predicted decrease a step must achie
 _BACKTRACKS = 40          # step halvings before a line search gives up
 _ROUNDING = 8.0 * np.finfo(float).eps  # relative rounding a step's objective may show
 _SPAN_EPS = 1e-9          # widest band above 0 in which a coordinate counts as active
-
-
-def _finite_stack(space: OrderedSpaceSpec, x, ndims=(1, 2)) -> np.ndarray:
-    """x as the (m, dim) stack of ``NormSpec._stack``, every entry finite."""
-    X = space.norm._stack(x, ndims)
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        where = f"row {i}, entry {j}" if np.ndim(x) == 2 else f"entry {j}"
-        raise ValueError(f"{where} of x is {X[i, j]}, not finite")
-    return X
 
 
 def span_norm(space: OrderedSpaceSpec, x):
@@ -86,14 +76,14 @@ def span_norm(space: OrderedSpaceSpec, x):
     ``np.linalg.solve``, with the rows and columns of active coordinates
     replaced by the identity.  Each row keeps its own active set and its own
     Armijo search, and stops on its own gap.  Rows left uncertified raise
-    one ConvergenceError after the others are done: for a vector its
-    ``best`` is the best decomposition and ``diagnostics["bracket"]`` is
-    (lower, value); for a stack ``best`` is the list of results and
-    ``diagnostics["rows"][j]["bracket"]`` that of each failed row j.
+    one ConvergenceError after the others are done, a vector as row 0: its
+    ``best`` is the result for a vector and the list of results for a
+    stack, and ``diagnostics["rows"][j]["bracket"]`` is (lower, value) of
+    each failed row j.
     """
     if not space.cone.is_standard():
         raise ValueError("span norm optimization requires the standard cone")
-    X = _finite_stack(space, x)
+    X = as_stack(x, space.dim, finite=True)
     XP, XM = np.maximum(X, 0.0), np.maximum(-X, 0.0)
     norm = space.norm
     results = [None] * len(X)
@@ -102,18 +92,15 @@ def span_norm(space: OrderedSpaceSpec, x):
             value = norm.value(xp) + norm.value(xm)
             results[j] = SpanNormResult(value, xp, xm, value)
     failed = _span_newton(norm, X, XP, XM, results)
-    if not failed:
-        return results[0] if np.ndim(x) == 1 else results
-    brackets = {j: (results[j].lower, results[j].value) for j in failed}
-    messages = {j: f"span-norm duality gap not certified: bracket [{lo:.6g}, {hi:.6g}]"
-                for j, (lo, hi) in brackets.items()}
-    if np.ndim(x) == 1:
-        raise ConvergenceError(messages[0], best=results[0],
-                               diagnostics={"bracket": brackets[0]})
-    raise ConvergenceError(
-        "; ".join(f"row {j}: {msg}" for j, msg in messages.items()), best=results,
-        diagnostics={"rows": {j: {"bracket": b} for j, b in brackets.items()}},
-    )
+    best = results[0] if np.ndim(x) == 1 else results
+    if failed:
+        brackets = {j: (results[j].lower, results[j].value) for j in failed}
+        raise ConvergenceError(
+            "; ".join(f"row {j}: span-norm duality gap not certified: bracket "
+                      f"[{lo:.6g}, {hi:.6g}]" for j, (lo, hi) in brackets.items()),
+            best=best, diagnostics={"rows": {j: {"bracket": b} for j, b in brackets.items()}},
+        )
+    return best
 
 
 def _span_newton(norm, X, XP, XM, results) -> list[int]:
@@ -217,7 +204,7 @@ def renorm_value(space: OrderedSpaceSpec, x) -> RenormResult:
     """
     if not space.cone.is_standard():
         raise ValueError("renorm maximization requires the standard cone")
-    x = _finite_stack(space, x, (1,))[0]
+    (x,) = as_stack(x, space.dim, (1,), finite=True)
     ax = np.abs(x)
     if not np.any(ax):
         return RenormResult(0.0, True, np.zeros_like(x))
@@ -356,72 +343,66 @@ def mollifier_scheme(domain: GridDomain) -> ApproximationScheme:
 _CAUCHY_WINDOW = 3  # consecutive below-tol increments that declare convergence
 
 
-def _iterate_sup(apply_r, indices, Z, tol):
-    """One sweep of s_n = |R_n z| over the indices for every column z of Z.
+def _iterate_sup(operators, z, tol):
+    """One sweep of s_n = |R_n z| for every row z of z, shape (N,) or (m, N).
 
-    ``apply_r(n, X)`` builds R_n (or its adjoint) and applies it to the block
-    X of the columns still iterating, so each R_n is built once per sweep and
-    is garbage once the next index is reached.  Each column keeps its own
-    Cauchy window of uniform-norm increments and stops on its own.  Returns
-    the last iterate of every column (None if no index was reached), the
-    index at which each column converged (None where the range ran out) and
-    the increments of each column.
+    ``operators`` yields each index n with R_n (or its adjoint), built only
+    when asked for; z is checked by ``as_stack`` against the width of the
+    first.  R_n is applied to the rows still iterating as ``(R_n @ X.T).T``,
+    on transposed views, so each R_n is built once per sweep and is garbage
+    once the next index is reached.  Each row keeps its own Cauchy window of
+    uniform-norm increments and stops on its own.  Returns the (m, N) stack
+    Z, the last iterate of every row, the index at which each row converged
+    (None where the range ran out) and the increments of each row.
     """
-    m = Z.shape[1]
-    S = None
+    _, R = next(operators)
+    Z = as_stack(z, R.shape[1])
+    S = np.abs((R @ Z.T).T)
+    m = len(Z)
     n_final = [None] * m
     increments = [[] for _ in range(m)]
     active = np.arange(m)
     below = np.zeros(m, dtype=int)
-    for n in indices:
-        if not active.size:
-            break
-        s = np.abs(apply_r(n, Z[:, active]))
-        if S is None:
-            S = s
-            continue
-        inc = np.max(np.abs(s - S[:, active]), axis=0)
-        S[:, active] = s
+    for n, R in operators:
+        s = np.abs((R @ Z[active].T).T)
+        inc = np.max(np.abs(s - S[active]), axis=1)
+        S[active] = s
         below = np.where(inc <= tol, below + 1, 0)
-        for col, value, count in zip(active, inc, below):
-            increments[col].append((n, float(value)))
+        for row, value, count in zip(active, inc, below):
+            increments[row].append((n, float(value)))
             if count >= _CAUCHY_WINDOW:
-                n_final[col] = n
+                n_final[row] = n
         running = below < _CAUCHY_WINDOW
         active, below = active[running], below[running]
-    return S, n_final, increments
+        if not active.size:
+            break
+    return Z, S, n_final, increments
 
 
-def _checked_sup(apply_r, indices, z, tol, bound_message):
-    """Sweep the columns of z, shape (N,) or (N, m), and check s >= |z|.
+def _checked_sup(operators, z, tol, bound_message):
+    """Sweep the rows of z, shape (N,) or (m, N), and check s >= |z|.
 
-    A column fails if the index range runs out before its Cauchy window
-    holds, or if its limit misses |z| by more than tol.  One vector is the
-    batch of its one column.  One ConvergenceError names every failed
-    column; ``best`` holds the last iterates, 1-D for 1-D input, and
-    ``diagnostics["columns"][j]`` the ``error`` and ``increments`` of each
-    failed column j.
+    A row fails if the index range runs out before its Cauchy window holds,
+    or if its limit misses |z| by more than tol.  One vector is the stack of
+    its one row, row 0.  One ConvergenceError names every failed row;
+    ``best`` holds the last iterates, in the shape of z, and
+    ``diagnostics["rows"][j]`` the ``error`` and ``increments`` of each
+    failed row j.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2):
-        raise ValueError("expected one vector or a batch of column vectors")
-    Z = z[:, None] if z.ndim == 1 else z
-    S, n_final, increments = _iterate_sup(apply_r, indices, Z, tol)
+    Z, S, n_final, increments = _iterate_sup(operators, z, tol)
     failed = {}
-    for j, n in enumerate(n_final):
+    for j, (n, gap) in enumerate(zip(n_final, np.max(np.abs(Z) - S, axis=1))):
         if n is None:
             failed[j] = "constructive supremum did not converge within the index range"
-            continue
-        gap = float(np.max(np.abs(Z[:, j]) - S[:, j]))
-        if gap > tol + 1e-12:
-            failed[j] = bound_message(gap)
-    if S is not None and z.ndim == 1:
-        S = S[:, 0]
+        elif gap > tol + 1e-12:
+            failed[j] = bound_message(float(gap))
+    if np.ndim(z) == 1:
+        S = S[0]
     if failed:
         raise ConvergenceError(
-            "; ".join(f"column {j}: {msg}" for j, msg in failed.items()), best=S,
-            diagnostics={"columns": {j: {"error": msg, "increments": increments[j]}
-                                     for j, msg in failed.items()}},
+            "; ".join(f"row {j}: {msg}" for j, msg in failed.items()), best=S,
+            diagnostics={"rows": {j: {"error": msg, "increments": increments[j]}
+                                  for j, msg in failed.items()}},
         )
     return S
 
@@ -429,16 +410,16 @@ def _checked_sup(apply_r, indices, z, tol, bound_message):
 def constructive_sup(scheme: ApproximationScheme, z, tol: float) -> np.ndarray:
     """Limit of s_n = |R_n z|, the supremum of -z and z in the span.
 
-    ``z`` is one vector (N,) or a batch (N, m) of columns; one sweep over the
-    indices builds each R_n once for the whole batch, and applying R_n
-    rejects a z of the wrong length.  Convergence is Cauchy detection with a
-    three-increment window per column; each limit is verified to dominate
-    both -z and z componentwise within tol.
+    ``z`` is one vector (N,) or a stack (m, N) of rows; one sweep over the
+    indices builds each R_n once for the whole stack, and a z whose rows are
+    not as long as R_n is wide is rejected.  Convergence is Cauchy detection
+    with a three-increment window per row; each limit is verified to
+    dominate both -z and z componentwise within tol.
     """
     # Cauchy detection runs in the uniform norm so that the stopping
     # increments dominate the componentwise post-verification margin.
     return _checked_sup(
-        lambda n, v: scheme.R(n) @ v, scheme.indices(), z, tol,
+        ((n, scheme.R(n)) for n in scheme.indices()), z, tol,
         lambda gap: f"upper-bound check failed: max(|z| - s) = {gap:.3e} above tol",
     )
 
@@ -446,12 +427,12 @@ def constructive_sup(scheme: ApproximationScheme, z, tol: float) -> np.ndarray:
 def constructive_sup_dual(scheme: ApproximationScheme, x_dual, tol: float) -> np.ndarray:
     """Dual-side limit s' = |R_n' x'| through the adjoints of the scheme.
 
-    ``x_dual`` is one covector (N,) or a batch (N, m), swept as in
+    ``x_dual`` is one covector (N,) or a stack (m, N) of rows, swept as in
     ``constructive_sup``.  Cauchy detection runs in the sup norm on the dual
     coordinates; the result dominates -x' and x' in the dual (componentwise)
     order.
     """
     return _checked_sup(
-        lambda n, v: scheme.R(n).T @ v, scheme.indices(), x_dual, tol,
+        ((n, scheme.R(n).T) for n in scheme.indices()), x_dual, tol,
         lambda gap: f"dual upper-bound check failed: gap {gap:.3e} above tol",
     )

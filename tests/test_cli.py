@@ -170,6 +170,22 @@ def test_resolvent_multiplication_scheme_passes(experiment, tmp_path):
     assert _statuses(csv_path) == ["PASS"] * 3
 
 
+def test_pushin_convergence_does_not_depend_on_the_order_of_ns(tmp_path):
+    # the L^p errors fall with n (0.378, 0.215 and 0.122 at n = 2, 4 and 8)
+    # however ns lists the indices: the rows come out in increasing n
+    reports = []
+    for ns in ([2, 4, 8], [8, 4, 2], [4, 8, 2]):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "pushin-audit", "ns": ns, "samples": 2}))
+        out = tmp_path / "-".join(map(str, ns))
+        assert main(["pushin-audit", "--config", str(config), "--out", str(out)]) == 0
+        (csv_path,) = out.glob("*.csv")
+        reports.append(_rows(csv_path))
+    assert reports[0] == reports[1] == reports[2]
+    assert [row["case"] for row in reports[0]] == [
+        "interval-n2", "interval-n4", "interval-n8", "interval-convergence"]
+
+
 @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
 def test_defaults_pass(experiment, tmp_path):
     config = tmp_path / "config.json"

@@ -297,7 +297,7 @@ class TestExtrapolationNorm:
         X = np.random.default_rng(7).standard_normal((5, 16))
         assert np.allclose(extrapolation_norm(space, X),
                            [extrapolation_norm(space, x) for x in X], rtol=1e-14, atol=0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^expected vectors of length 16$"):
             extrapolation_norm(space, np.ones((2, 15)))
 
     def test_lam_must_exceed_lam0(self):

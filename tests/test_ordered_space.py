@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from latlab.ordered_space import (
     supremum_oracle,
     _vertices,
 )
-from latlab.sobolev_grid import GridDomain
+from latlab.sobolev_grid import GridDomain, GridFunction, negative_sobolev_norm, sobolev_norm
 
 
 def ice_cream_cone():
@@ -99,6 +101,22 @@ class TestConeContains:
         with pytest.raises(ValueError, match=r"entry \(2, 0\) is -?inf, not finite") as info:
             PolyhedralCone(3, ineq)
         assert not isinstance(info.value, DegenerateConeError)
+
+
+    def test_standard_cone_stores_no_square_identity(self):
+        tracemalloc.start()
+        try:
+            cone = PolyhedralCone.standard(641)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 641 x 641 identity alone is 3.29 MB
+        assert peak < 64 * 1024
+        assert cone.is_standard() and not cone.ineq.flags.writeable
+        assert np.array_equal(cone.ineq, np.eye(641))
+        # the matrix it reads out builds the same cone, and so does a dense identity
+        assert PolyhedralCone(641, cone.ineq).is_standard()
+        assert PolyhedralCone(3, np.eye(3)).is_standard()
 
 
 class TestPointedness:
@@ -488,6 +506,19 @@ class TestNormSpec:
             NormSpec.sobolev(domain, 1, 1.0)
         with pytest.raises(ValueError):
             NormSpec.dual_sobolev(domain, 0, 2.0)
+
+    @pytest.mark.parametrize("kind, k, p", [
+        ("sobolev", 1, 1.0), ("sobolev", 1, np.inf), ("sobolev", -1, 2.0), ("sobolev", 7, 2.0),
+        ("dual_sobolev", 0, 2.0), ("dual_sobolev", 1, 0.5), ("dual_sobolev", 7, 3.0),
+    ])
+    def test_each_argument_rule_has_one_message(self, kind, k, p):
+        # the norm specification says what the scalar norm would say
+        domain = GridDomain.interval(0.0, 1.0, 8)
+        scalar = sobolev_norm if kind == "sobolev" else negative_sobolev_norm
+        with pytest.raises(ValueError) as direct:
+            scalar(GridFunction(domain, np.ones(8)), k, p)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            getattr(NormSpec, kind)(domain, k, p)
 
     @pytest.mark.parametrize("make, monotone", [
         (lambda: NormSpec.lp(np.linspace(0.5, 2, 6), 1.0), True),

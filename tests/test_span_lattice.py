@@ -225,7 +225,7 @@ class TestSpanNorm:
         for x, value in zip(xs, exact):
             with pytest.raises(ConvergenceError) as info:
                 span_norm(space, x)
-            lower, upper = info.value.diagnostics["bracket"]
+            lower, upper = info.value.diagnostics["rows"][0]["bracket"]
             assert lower <= value <= upper * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("norm", [
@@ -370,7 +370,7 @@ class TestSpanNorm:
         best = info.value.best
         assert np.all(best.y >= 0) and np.all(best.z >= 0)
         assert np.max(np.abs(best.y - best.z - x)) <= 1e-12
-        lower, value = info.value.diagnostics["bracket"]
+        lower, value = info.value.diagnostics["rows"][0]["bracket"]
         assert lower < value and (best.lower, best.value) == (lower, value)
 
 
@@ -613,15 +613,15 @@ class TestConstructiveSup:
         with pytest.raises(ConvergenceError) as exc:
             constructive_sup(truncated, z, 1e-9)
         assert exc.value.best.shape == z.shape
-        assert set(exc.value.diagnostics["columns"]) == {0}
-        assert exc.value.diagnostics["columns"][0]["increments"]
+        assert set(exc.value.diagnostics["rows"]) == {0}
+        assert exc.value.diagnostics["rows"][0]["increments"]
 
     @pytest.mark.parametrize("case", [0, 1], ids=["mollifier", "resolvent-neumann"])
     @pytest.mark.parametrize("sup", [constructive_sup, constructive_sup_dual],
                              ids=["primal", "dual"])
     def test_wrong_length_rejected(self, case, sup):
         scheme, domain, _, tol = _batch_cases()[case]
-        for z in (np.ones(domain.node_count - 1), np.ones((domain.node_count + 1, 2))):
+        for z in (np.ones(domain.node_count - 1), np.ones((2, domain.node_count + 1))):
             with pytest.raises(ValueError):
                 sup(scheme, z, tol)
 
@@ -676,7 +676,7 @@ def _profiles(domain, curvatures, seed=3):
     from latlab.cli import _trig_profile
     rng = np.random.default_rng(seed)
     t = (domain.axis(0) - domain.lo[0]) / (domain.hi[0] - domain.lo[0])
-    return np.column_stack([_trig_profile(rng, t, c) for c in curvatures])
+    return np.array([_trig_profile(rng, t, c) for c in curvatures])
 
 
 def _batch_cases():
@@ -693,7 +693,7 @@ def _batch_cases():
 class TestBatchedSweep:
     @pytest.mark.parametrize("case", [0, 1], ids=["mollifier", "resolvent-neumann"])
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
-    def test_columns_match_one_call_per_column(self, case, dual):
+    def test_rows_match_one_call_per_row(self, case, dual):
         scheme, domain, curvatures, tol = _batch_cases()[case]
         Z = _profiles(domain, curvatures)
 
@@ -704,29 +704,29 @@ class TestBatchedSweep:
         batch_calls = []
         S = sup(_recording(scheme, batch_calls), Z)
         assert S.shape == Z.shape
-        # one sweep: each index is built once, up to the slowest column
+        # one sweep: each index is built once, up to the slowest row
         assert batch_calls == sorted(set(batch_calls))
         finals = []
-        for j in range(Z.shape[1]):
+        for z, s_batch in zip(Z, S):
             calls = []
-            s = sup(_recording(scheme, calls), Z[:, j])
-            assert np.max(np.abs(S[:, j] - s)) <= 1e-12
+            s = sup(_recording(scheme, calls), z)
+            assert np.max(np.abs(s_batch - s)) <= 1e-12
             finals.append(calls[-1])
-        apply_r = (lambda n, v: scheme.R(n).T @ v) if dual else (lambda n, v: scheme.R(n) @ v)
-        _, n_final, _ = _iterate_sup(apply_r, scheme.indices(), Z, tol)
+        operators = ((n, scheme.R(n).T if dual else scheme.R(n)) for n in scheme.indices())
+        n_final = _iterate_sup(operators, Z, tol)[2]
         assert n_final == finals
-        assert len(set(finals)) > 1  # the columns stop at different indices
+        assert len(set(finals)) > 1  # the rows stop at different indices
         assert batch_calls[-1] == max(finals)
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
-    def test_only_the_unconverged_column_is_reported(self, dual):
+    def test_only_the_unconverged_row_is_reported(self, dual):
         domain = GridDomain.torus(1.0, 64)
         base = mollifier_scheme(domain)
         truncated = ApproximationScheme(base.R, 2, 16)
         t = domain.axis(0)
-        # R_n fixes constants, so columns 0 and 2 are Cauchy from the first
+        # R_n fixes constants, so rows 0 and 2 are Cauchy from the first
         # index on; the sine needs far more indices than 2..16
-        Z = np.column_stack([np.full(64, 0.5), np.sin(2 * np.pi * t), np.full(64, 0.25)])
+        Z = np.array([np.full(64, 0.5), np.sin(2 * np.pi * t), np.full(64, 0.25)])
 
         def sup(z):
             return constructive_sup_dual(truncated, z, 1e-9) if dual else \
@@ -734,18 +734,18 @@ class TestBatchedSweep:
 
         with pytest.raises(ConvergenceError) as batch:
             sup(Z)
-        failed = batch.value.diagnostics["columns"]
+        failed = batch.value.diagnostics["rows"]
         assert set(failed) == {1}
-        assert str(batch.value).startswith("column 1: ") and ";" not in str(batch.value)
+        assert str(batch.value).startswith("row 1: ") and ";" not in str(batch.value)
         for j in (0, 2):
-            assert np.array_equal(batch.value.best[:, j], sup(Z[:, j]))
+            assert np.array_equal(batch.value.best[j], sup(Z[j]))
         with pytest.raises(ConvergenceError) as single:
-            sup(Z[:, 1])
-        assert single.value.diagnostics["columns"] == {0: failed[1]}
-        assert str(single.value) == f"column 0: {failed[1]['error']}"
+            sup(Z[1])
+        assert single.value.diagnostics["rows"] == {0: failed[1]}
+        assert str(single.value) == f"row 0: {failed[1]['error']}"
         assert "did not converge" in failed[1]["error"]
         assert failed[1]["increments"]
-        assert np.array_equal(batch.value.best[:, 1], single.value.best)
+        assert np.array_equal(batch.value.best[1], single.value.best)
 
     def test_peak_memory_of_a_resolvent_sweep(self):
         from latlab.extrapolation import neumann_laplacian_1d, resolvent_scheme
@@ -760,8 +760,8 @@ class TestBatchedSweep:
         finally:
             tracemalloc.stop()
         # the generator and each R_n are O(N) bytes and the sweep holds a few
-        # N x columns blocks; one dense N x N array would be 134 MB
-        assert peak <= 64 * N * (Z.shape[1] + 8)
+        # rows x N blocks; one dense N x N array would be 134 MB
+        assert peak <= 64 * N * (len(Z) + 8)
 
 
 # ---------------------------------------------------------------------------
