@@ -17,10 +17,9 @@ from .ordered_space import (
 )
 from .sobolev_grid import (
     GridDomain,
-    GridFunction,
-    Mollifier,
     PushinOperator,
     build_boundary_chart,
+    mollifier_weights,
     mollify,
     negative_sobolev_norm,
     positive_dominant_w0,

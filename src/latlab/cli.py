@@ -50,7 +50,6 @@ from .sobolev_grid import (
     ChartError,
     ConvergenceError,
     GridDomain,
-    GridFunction,
     GridTooCoarseError,
     PushinOperator,
     default_chart_cover,
@@ -219,10 +218,10 @@ _MOLLIFIER_ORDER_MIN = 1.8
 def _run_mollifier_rate(cfg: dict) -> list[dict]:
     domain = _domain(cfg)
     t = domain.axis(0)
-    f = GridFunction(domain, np.sin(2 * np.pi * t) + 0.5 * np.cos(4 * np.pi * t))
+    f = np.sin(2 * np.pi * t) + 0.5 * np.cos(4 * np.pi * t)
     deltas = cfg["deltas"]
     try:
-        errs = [float(np.max(np.abs(mollify(f, d).values - f.values))) for d in deltas]
+        errs = [float(np.max(np.abs(mollify(domain, d, f) - f))) for d in deltas]
     except GridTooCoarseError as exc:
         raise UsageError(f"deltas = {deltas!r} too fine for domain.n = "
                          f"{domain.n}: {exc}") from exc
@@ -286,10 +285,10 @@ def _run_pushin_audit(cfg: dict) -> list[dict]:
             except ChartError as exc:
                 raise UsageError(f"cannot build the charts of ns = {cfg['ns']!r}: {exc}") from exc
             if domain.d == 1:
-                diff = GridFunction(domain, op.matrix @ smooth - smooth)
-                errs.append(sobolev_grid.sobolev_norm(diff, 0, p))
+                diff = op.matrix @ smooth - smooth
+                errs.append(sobolev_grid.sobolev_norm(domain, 0, p, diff))
                 # an L^p error that under- or overflows compares nothing
-                if not 0.0 < errs[-1] < math.inf and np.any(diff.values):
+                if not 0.0 < errs[-1] < math.inf and np.any(diff):
                     raise UsageError(f"order.p = {p!r} is too large for the audit: the L^p "
                                      f"error of S_n f - f is {errs[-1]:g} at n = {n}")
             outside = ~op.node_in_k(pts)
@@ -325,23 +324,23 @@ def _run_prop35_demo(cfg: dict) -> list[dict]:
     rows = []
     for k in cfg["orders"]:
         for i in range(cfg["samples"]):
-            f = GridFunction(domain, _w0_sample(rng, t, k))
+            f = _w0_sample(rng, t, k)
             try:
-                g = positive_dominant_w0(f, k)
+                g = positive_dominant_w0(domain, k, f)
             except ValueError as exc:
                 raise UsageError(f"orders entry {k} does not fit domain.n = "
                                  f"{domain.n}: {exc}") from exc
-            min_g = float(np.min(g.values))
-            min_dom = float(np.min(g.values - f.values))
+            min_g = float(np.min(g))
+            min_dom = float(np.min(g - f))
             resid = 0.0
-            u = g.values
+            u = g
             for _ in range(k):
                 resid = max(resid, abs(u[0]), abs(u[-1]))
                 u = D @ u
             rows.append(_row(cfg, f"k{k}-f{i:02d}", {"k": k, "grid_n": domain.n},
                              {"min_g": min_g, "min_g_minus_f": min_dom, "endpoint_resid": resid},
                              min_g >= -1e-10 and min_dom >= -1e-10 and resid <= 1e-10,
-                             list(f.values[:8])))
+                             list(f[:8])))
     return rows
 
 

@@ -112,7 +112,7 @@ def _no_pivot_lu(gen: GeneratorMatrix, mu: float) -> tuple[list[float], list[flo
     return l, u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Tridiagonal Metzler matrix, stored as its three diagonals, and lam0.
 
@@ -178,7 +178,7 @@ def resolvent(gen: GeneratorMatrix, mu: float) -> np.ndarray:
     return ResolventOperator(gen, mu) @ np.eye(gen.dim, order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtrapolationSpace:
     """Base space with the resolvent-weighted norm ||x||_{-1} = ||(lam-A)^{-1} x||."""
 

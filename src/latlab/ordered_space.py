@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize
 
 from . import sobolev_grid
-from .sobolev_grid import GridDomain, GridFunction
+from .sobolev_grid import GridDomain, as_stack
 
 CONE_TOL = 1e-10   # absolute tolerance for cone membership
 LP_TOL = 1e-9      # feasibility tolerance for linear programs and polyhedron vertices
@@ -27,30 +27,11 @@ class DegenerateConeError(ValueError):
     """The inequality system does not describe a pointed solid cone."""
 
 
-def as_stack(x, dim: int, ndims=(1, 2), finite: bool = False) -> np.ndarray:
-    """x, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one.
-
-    The one shape check of every function that takes vectors: any other
-    shape raises ``expected vectors of length {dim}``.  With ``finite`` a NaN
-    or inf is rejected by its position, ``entry j`` of a vector or
-    ``row i, entry j`` of a stack.
-    """
-    X = np.asarray(x, dtype=float)
-    if X.ndim not in ndims or X.shape[-1] != dim:
-        raise ValueError(f"expected vectors of length {dim}")
-    X = X if X.ndim == 2 else X[None]
-    if finite and not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        where = f"row {i}, entry {j}" if np.ndim(x) == 2 else f"entry {j}"
-        raise ValueError(f"{where} of x is {X[i, j]}, not finite")
-    return X
-
-
 # ---------------------------------------------------------------------------
 # Polyhedral cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedralCone:
     """Cone {x : ineq @ x >= 0 componentwise} in inequality form.
 
@@ -64,7 +45,7 @@ class PolyhedralCone:
 
     dim: int
     ineq: np.ndarray
-    _standard: bool = field(init=False, compare=False, repr=False)
+    _standard: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         ineq = np.atleast_2d(np.asarray(self.ineq, dtype=float))
@@ -203,7 +184,7 @@ def in_generated_cone(generators: np.ndarray, x) -> bool:
 # Norm specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormSpec:
     """Evaluable norm: weighted lp, discrete Sobolev, or its dual.
 
@@ -282,13 +263,11 @@ class NormSpec:
 
     def value(self, x) -> float:
         """The norm of the vector x, bit for bit ``value_many`` of x alone."""
-        X = as_stack(x, self.dim, (1,))
         if self.kind == "lp":
-            return float(self._kernel(X, 0)[0][0])
-        gf = GridFunction(self.domain, X[0])
-        if self.kind == "sobolev":
-            return sobolev_grid.sobolev_norm(gf, self.k, self.p)
-        return sobolev_grid.negative_sobolev_norm(gf, self.k, self.p)
+            return float(self._kernel(as_stack(x, self.dim, (1,)), 0)[0][0])
+        scalar = (sobolev_grid.sobolev_norm if self.kind == "sobolev"
+                  else sobolev_grid.negative_sobolev_norm)
+        return scalar(self.domain, self.k, self.p, x)
 
     def value_many(self, X) -> np.ndarray:
         """Norms of the rows of X (a vector is a stack of one)."""
@@ -357,7 +336,7 @@ class NormSpec:
             raise ValueError("norm failed the sampled triangle inequality")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedSpaceSpec:
     """A finite dimension, a polyhedral cone, and an evaluable norm."""
 
@@ -449,7 +428,7 @@ def normality_constant_lower_bound(space: OrderedSpaceSpec, witnesses) -> float:
 # Faces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceReport:
     is_face: bool
     witness: tuple[np.ndarray, np.ndarray] | None

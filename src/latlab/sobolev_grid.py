@@ -4,6 +4,9 @@ Grid domains (interval, torus, rectangle), forward-difference Sobolev norms
 and their duals, mollification by a renormalized bump kernel, boundary
 charts, partition-of-unity push-in operators, and the one-dimensional
 positive dominant construction.
+A grid vector is a flat float array, one value per node, a rectangle's
+row-major.  The functions of one take the domain first and the vector last,
+and check it with ``as_stack``, the package's one shape check, defined here.
 """
 
 from __future__ import annotations
@@ -36,9 +39,35 @@ class ConvergenceError(RuntimeError):
         self.best = best
         self.diagnostics = diagnostics
 
+    @classmethod
+    def of_rows(cls, rows: dict, best) -> "ConvergenceError":
+        """The one failure of a stack: ``diagnostics["rows"]`` is ``rows``, whose
+        entry j holds the ``error`` of row j, and the message joins ``row j: {error}``."""
+        return cls("; ".join(f"row {j}: {row['error']}" for j, row in rows.items()),
+                   best=best, diagnostics={"rows": rows})
+
+
+def as_stack(x, dim: int, ndims=(1, 2), finite: bool = False) -> np.ndarray:
+    """x, with ndim in ``ndims``, as an (m, dim) float stack; a vector is a stack of one.
+
+    The one shape check of every function that takes vectors: any other
+    shape raises ``expected vectors of length {dim}``.  With ``finite`` a NaN
+    or inf is rejected by its position, ``entry j`` of a vector or
+    ``row i, entry j`` of a stack.
+    """
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in ndims or X.shape[-1] != dim:
+        raise ValueError(f"expected vectors of length {dim}")
+    X = X if X.ndim == 2 else X[None]
+    if finite and not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        where = f"row {i}, entry {j}" if np.ndim(x) == 2 else f"entry {j}"
+        raise ValueError(f"{where} of x is {X[i, j]}, not finite")
+    return X
+
 
 # ---------------------------------------------------------------------------
-# Grid domains and grid functions
+# Grid domains
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,21 +144,6 @@ class GridDomain:
         """Closed-domain membership."""
         pts = np.atleast_2d(pts)
         return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=1)
-
-
-@dataclass
-class GridFunction:
-    """Real values sampled at the nodes of a GridDomain."""
-
-    domain: GridDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size != self.domain.node_count:
-            raise ValueError(
-                f"expected {self.domain.node_count} values, got {self.values.size}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +255,12 @@ def dual_norm_bound(domain: GridDomain, k: int, q: float, V: np.ndarray):
     return top * sobolev_kernel(domain, k, q, scaled)[0] / domain.cell_measure
 
 
-def sobolev_norm(f: GridFunction, k: int, p: float) -> float:
-    """Discrete W^{k,p} norm: p-sum of f and its differences up to order k,
-    ``sobolev_kernel`` on f alone and so bit for bit f's row of any stack."""
-    check_sobolev_args(f.domain, k, p)
-    return float(sobolev_kernel(f.domain, k, p, f.values[None])[0][0])
+def sobolev_norm(domain: GridDomain, k: int, p: float, f) -> float:
+    """Discrete W^{k,p} norm of the grid vector f: p-sum of f and its
+    differences up to order k, ``sobolev_kernel`` on f alone and so bit for
+    bit f's row of any stack."""
+    check_sobolev_args(domain, k, p)
+    return float(sobolev_kernel(domain, k, p, as_stack(f, domain.node_count, (1,)))[0][0])
 
 
 def check_grid_order(domain: GridDomain, k: int) -> None:
@@ -328,8 +343,8 @@ def _m_matrix_margins(K: scipy.sparse.csr_matrix):
     return not np.any(K.data[~on_diag] > 0.0), 2.0 * diag - row_abs, rounding
 
 
-def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
-    """Dual norm sup <f,g>_h / ||f||_{k,q} over grid functions f.
+def negative_sobolev_norm(domain: GridDomain, k: int, p: float, g) -> float:
+    """Dual norm sup <f,g>_h / ||f||_{k,q} of the grid vector g over grid vectors f.
 
     ``negative_sobolev_kernel`` on g alone: exact for p = 2 via one
     positive-definite solve; for other p a projected-ascent lower bound,
@@ -337,9 +352,10 @@ def negative_sobolev_norm(g: GridFunction, k: int, p: float) -> float:
     otherwise the kernel's ConvergenceError names g as row 0, its ``best``
     the bound found.
     """
-    check_sobolev_args(g.domain, k, p, dual=True)
+    check_sobolev_args(domain, k, p, dual=True)
+    Y = as_stack(g, domain.node_count, (1,))
     try:
-        return float(negative_sobolev_kernel(g.domain, k, p, g.values[None])[0][0])
+        return float(negative_sobolev_kernel(domain, k, p, Y)[0][0])
     except ConvergenceError as exc:
         exc.best = float(exc.best[0])
         raise
@@ -372,8 +388,7 @@ def negative_sobolev_kernel(domain: GridDomain, k: int, p: float, Y: np.ndarray,
         val = np.array([value for value, _ in ascents])
         failed = {j: failure for j, (_, failure) in enumerate(ascents) if failure}
         if failed:
-            raise ConvergenceError("; ".join(f"row {j}: {f['error']}" for j, f in failed.items()),
-                                   best=val, diagnostics={"rows": failed})
+            raise ConvergenceError.of_rows(failed, val)
         return (val,)
     m, n = Y.shape
     w = domain.cell_measure
@@ -451,42 +466,34 @@ def bump(t: np.ndarray) -> np.ndarray:
     return _BUMP_NORMALIZER * _bump_profile(t)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Scaled bump kernel; discrete weights renormalized to sum exactly 1."""
-
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("mollifier scale must be positive")
-
-    def weights(self, h: float) -> np.ndarray:
-        if self.delta < 2.0 * h - 1e-12:
-            raise GridTooCoarseError(
-                f"mollifier scale {self.delta:g} below 2h = {2 * h:g}"
-            )
-        jmax = int(np.ceil(self.delta / h)) - 1
-        while jmax * h >= self.delta:
-            jmax -= 1
-        offsets = np.arange(-jmax, jmax + 1)
-        w = bump(offsets * h / self.delta)
-        return w / w.sum()
+def mollifier_weights(delta: float, h: float) -> np.ndarray:
+    """The bump at scale delta sampled at the offsets j h with |j h| < delta,
+    renormalized to sum exactly 1; delta must be positive and at least 2h."""
+    if delta <= 0:
+        raise ValueError("mollifier scale must be positive")
+    if delta < 2.0 * h - 1e-12:
+        raise GridTooCoarseError(f"mollifier scale {delta:g} below 2h = {2 * h:g}")
+    jmax = int(np.ceil(delta / h)) - 1
+    while jmax * h >= delta:
+        jmax -= 1
+    offsets = np.arange(-jmax, jmax + 1)
+    w = bump(offsets * h / delta)
+    return w / w.sum()
 
 
-def mollify(f: GridFunction, delta: float) -> GridFunction:
-    """Convolve with the renormalized bump kernel at scale delta.
+def mollify(domain: GridDomain, delta: float, f) -> np.ndarray:
+    """The grid vector f convolved with ``mollifier_weights(delta, h)`` along
+    every axis, as a grid vector.
 
     The torus convolves periodically; bounded domains extend f by zero, so
     supports grow by at most delta.
     """
-    dom = f.domain
-    w = Mollifier(delta).weights(dom.h)
-    mode = "wrap" if dom.periodic else "constant"
-    out = f.values.reshape((dom.n,) * dom.d)
-    for axis in range(dom.d):
+    out = as_stack(f, domain.node_count, (1,)).reshape((domain.n,) * domain.d)
+    w = mollifier_weights(delta, domain.h)
+    mode = "wrap" if domain.periodic else "constant"
+    for axis in range(domain.d):
         out = scipy.ndimage.convolve1d(out, w, axis=axis, mode=mode, cval=0.0)
-    return GridFunction(dom, out)
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -813,22 +820,24 @@ def _cutoff_right(t: np.ndarray) -> np.ndarray:
     return _smoothstep((t - 0.25) / 0.25)
 
 
-def positive_dominant_w0(f: GridFunction, k: int) -> GridFunction:
-    """Positive grid function dominating f with the same endpoint vanishing.
+def positive_dominant_w0(domain: GridDomain, k: int, f) -> np.ndarray:
+    """Positive grid vector dominating the grid vector f on an interval,
+    with the same endpoint vanishing.
 
     Requires f to vanish discretely to order k-1 at both endpoints.  Builds
     the k-fold cumulative integrals of |D^k f| from each endpoint and blends
     them with fixed smooth cutoffs; the result is >= max(f, 0) and vanishes
     to order k-1 at both endpoints, exactly in the discrete calculus.
     """
-    if f.domain.kind != "interval":
+    (f,) = as_stack(f, domain.node_count, (1,))
+    if domain.kind != "interval":
         raise ValueError("positive dominant construction is one-dimensional")
     if k < 1:
         raise ValueError("k must be at least 1")
-    check_grid_order(f.domain, k)
-    h = f.domain.h
-    D = diff_operator(f.domain, (1,))
-    derivs = [f.values]
+    check_grid_order(domain, k)
+    h = domain.h
+    D = diff_operator(domain, (1,))
+    derivs = [f]
     for _ in range(k):
         derivs.append(D @ derivs[-1])
     for j in range(k):
@@ -838,13 +847,10 @@ def positive_dominant_w0(f: GridFunction, k: int) -> GridFunction:
                 f"f does not vanish to order {k - 1} at the endpoints: "
                 f"order-{j} values ({left:.2e}, {right:.2e})"
             )
-    top = np.abs(derivs[k])
-    f0 = top.copy()
-    f1 = top.copy()
+    f0 = f1 = np.abs(derivs[k])  # each integral below builds a new array
     for _ in range(k):
         f0 = _cumint_left(f0, h)
         f1 = _cumint_right(f1, h)
-    a, b = f.domain.lo[0], f.domain.hi[0]
-    t = (f.domain.axis(0) - a) / (b - a)
-    g = _cutoff_left(t) * f0 + _cutoff_right(t) * f1
-    return GridFunction(f.domain, g)
+    a, b = domain.lo[0], domain.hi[0]
+    t = (domain.axis(0) - a) / (b - a)
+    return _cutoff_left(t) * f0 + _cutoff_right(t) * f1

@@ -17,14 +17,14 @@ import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import OrderedSpaceSpec, as_stack
-from .sobolev_grid import ConvergenceError, GridDomain, Mollifier, row_dots
+from .sobolev_grid import ConvergenceError, GridDomain, mollifier_weights, row_dots
 
 
 # ---------------------------------------------------------------------------
 # Span norm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanNormResult:
     """Value of the span norm of one vector, the decomposition x = y - z that
     attains it, and a certified lower bound on the norm (``lower == value``
@@ -78,8 +78,8 @@ def span_norm(space: OrderedSpaceSpec, x):
     Armijo search, and stops on its own gap.  Rows left uncertified raise
     one ConvergenceError after the others are done, a vector as row 0: its
     ``best`` is the result for a vector and the list of results for a
-    stack, and ``diagnostics["rows"][j]["bracket"]`` is (lower, value) of
-    each failed row j.
+    stack, and ``diagnostics["rows"][j]`` holds the ``error`` and the
+    ``bracket`` (lower, value) of each failed row j.
     """
     if not space.cone.is_standard():
         raise ValueError("span norm optimization requires the standard cone")
@@ -95,11 +95,9 @@ def span_norm(space: OrderedSpaceSpec, x):
     best = results[0] if np.ndim(x) == 1 else results
     if failed:
         brackets = {j: (results[j].lower, results[j].value) for j in failed}
-        raise ConvergenceError(
-            "; ".join(f"row {j}: span-norm duality gap not certified: bracket "
-                      f"[{lo:.6g}, {hi:.6g}]" for j, (lo, hi) in brackets.items()),
-            best=best, diagnostics={"rows": {j: {"bracket": b} for j, b in brackets.items()}},
-        )
+        raise ConvergenceError.of_rows(
+            {j: {"error": f"span-norm duality gap not certified: bracket [{lo:.6g}, {hi:.6g}]",
+                 "bracket": (lo, hi)} for j, (lo, hi) in brackets.items()}, best)
     return best
 
 
@@ -174,7 +172,7 @@ def _pair_sums(V: np.ndarray) -> np.ndarray:
 RENORM_EXACT_MAX_DIM = 16  # vertex enumeration cutoff (2^16 vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenormResult:
     """Maximum of the norm over [0, |x|]; ``exact`` marks an exact maximum.
 
@@ -331,7 +329,7 @@ def mollifier_scheme(domain: GridDomain) -> ApproximationScheme:
     n_max = int(math.floor((domain.hi[0] - domain.lo[0]) / (2.0 * domain.h)))
 
     def R(n: int) -> PeriodicCorrelation:
-        return PeriodicCorrelation(Mollifier(1.0 / n).weights(domain.h), N)
+        return PeriodicCorrelation(mollifier_weights(1.0 / n, domain.h), N)
 
     return ApproximationScheme(R, 2, n_max)
 
@@ -399,11 +397,8 @@ def _checked_sup(operators, z, tol, bound_message):
     if np.ndim(z) == 1:
         S = S[0]
     if failed:
-        raise ConvergenceError(
-            "; ".join(f"row {j}: {msg}" for j, msg in failed.items()), best=S,
-            diagnostics={"rows": {j: {"error": msg, "increments": increments[j]}
-                                  for j, msg in failed.items()}},
-        )
+        raise ConvergenceError.of_rows(
+            {j: {"error": msg, "increments": increments[j]} for j, msg in failed.items()}, S)
     return S
 
 

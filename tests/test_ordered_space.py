@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlab.cli import estimate_renorm_constants
+from latlab.extrapolation import ExtrapolationSpace, neumann_laplacian_1d
 from latlab.ordered_space import (
     CONE_TOL,
     DegenerateConeError,
@@ -25,7 +26,8 @@ from latlab.ordered_space import (
     supremum_oracle,
     _vertices,
 )
-from latlab.sobolev_grid import GridDomain, GridFunction, negative_sobolev_norm, sobolev_norm
+from latlab.sobolev_grid import GridDomain, negative_sobolev_norm, sobolev_norm
+from latlab.span_lattice import renorm_value, span_norm
 
 
 def ice_cream_cone():
@@ -516,7 +518,7 @@ class TestNormSpec:
         domain = GridDomain.interval(0.0, 1.0, 8)
         scalar = sobolev_norm if kind == "sobolev" else negative_sobolev_norm
         with pytest.raises(ValueError) as direct:
-            scalar(GridFunction(domain, np.ones(8)), k, p)
+            scalar(domain, k, p, np.ones(8))
         with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
             getattr(NormSpec, kind)(domain, k, p)
 
@@ -668,3 +670,24 @@ class TestNormSpec:
             for derivative in (spec.grad, spec.hess):
                 with pytest.raises(NotImplementedError, match="p = 2"):
                     derivative(point)
+
+
+def _array_holders():
+    # one fresh instance of each frozen dataclass that holds an array or a spec
+    space = OrderedSpaceSpec.standard_sobolev(GridDomain.interval(0.0, 1.0, 8), 1, 2.0)
+    x = np.sin(np.arange(1.0, 9.0) * 2.1)
+    gen = neumann_laplacian_1d(8, 1.0 / 7.0)
+    return [space.cone, space.norm, space, gen, ExtrapolationSpace(space, gen, lam=1.0),
+            span_norm(space, x), renorm_value(space, x),
+            is_face(np.eye(3), PolyhedralCone.standard(3), sample_size=8)]
+
+
+def test_array_holders_compare_by_identity():
+    # value equality would compare arrays and raise; the grid domain keeps it,
+    # since it keys the lru_caches of the difference operators
+    for a, b in zip(_array_holders(), _array_holders()):
+        assert type(a) is type(b)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+    assert GridDomain.interval(0, 1, 8) == GridDomain.interval(0, 1, 8)
+    assert len({GridDomain.interval(0, 1, 8), GridDomain.interval(0, 1, 8)}) == 1

@@ -11,8 +11,7 @@ from latlab.ordered_space import NormSpec, OrderedSpaceSpec, PolyhedralCone
 from latlab.sobolev_grid import (
     ConvergenceError,
     GridDomain,
-    GridFunction,
-    Mollifier,
+    mollifier_weights,
     stacked_diff_operator,
 )
 from latlab.span_lattice import (
@@ -551,7 +550,7 @@ class TestSchemeValidation:
         scheme = mollifier_scheme(domain)
         rng = np.random.default_rng(N)
         lopsided = np.arange(1.0, 8.0) / 28.0
-        cases = [(scheme.R(n), Mollifier(1.0 / n).weights(domain.h))
+        cases = [(scheme.R(n), mollifier_weights(1.0 / n, domain.h))
                  for n in scheme.indices()]
         cases.append((PeriodicCorrelation(lopsided, N), lopsided))
         for op, w in cases:

@@ -1,13 +1,15 @@
 """The one stack convention of every public function that takes vectors.
 
 A batch of vectors is an (m, dim) row stack and a vector is a stack of one,
-row 0.  Each entry point checks its input with ``ordered_space.as_stack``:
+row 0.  Each entry point checks its input with ``sobolev_grid.as_stack``:
 a wrong length raises the one message ``expected vectors of length {dim}``,
 a vector's result equals row 0 of its stack of one bit for bit, and the
 failures of a stack come back keyed by row in ``diagnostics["rows"]``.
 """
 
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,14 @@ from latlab.ordered_space import (
     normality_constant_lower_bound,
     supremum_oracle,
 )
-from latlab.sobolev_grid import ConvergenceError, GridDomain
+from latlab.sobolev_grid import (
+    ConvergenceError,
+    GridDomain,
+    mollify,
+    negative_sobolev_norm,
+    positive_dominant_w0,
+    sobolev_norm,
+)
 from latlab.span_lattice import (
     ApproximationScheme,
     constructive_sup,
@@ -75,6 +84,8 @@ def _entry_points():
     space, cone = _w12(), _ice_cream_cone()
     cone_space = OrderedSpaceSpec(3, cone, NormSpec.lp(np.ones(3), 2.0))
     ext, scheme = _extrapolation_space(), _torus_scheme()
+    interval, torus = GridDomain.interval(0.0, 1.0, 8), GridDomain.torus(1.0, 16)
+    t = interval.axis(0)  # (t (1 - t))^8 vanishes at both ends, as k = 1 needs
     return {
         "PolyhedralCone.contains": (3, cone.contains, "stack", _INSIDE),
         "NormSpec.value": (8, space.norm.value, "vector", _MIXED),
@@ -95,6 +106,12 @@ def _entry_points():
         "constructive_sup_dual": (
             64, lambda z: constructive_sup_dual(scheme, z, 1e-5), "stack", _smooth(64)),
         "theorem41_sup": (32, lambda z: theorem41_sup(ext, z, 1e-5), "stack", _smooth(32)),
+        "sobolev_norm": (8, lambda f: sobolev_norm(interval, 1, 2.0, f), "vector", _MIXED),
+        "negative_sobolev_norm": (
+            8, lambda g: negative_sobolev_norm(interval, 1, 2.0, g), "vector", _MIXED),
+        "mollify": (16, lambda f: mollify(torus, 0.25, f), "vector", _smooth(16)),
+        "positive_dominant_w0": (
+            8, lambda f: positive_dominant_w0(interval, 1, f), "vector", (t * (1.0 - t)) ** 8),
     }
 
 
@@ -104,7 +121,7 @@ _ENTRY_POINTS = list(_entry_points())
 def _wrong_inputs(dim, takes):
     if takes == "pairs":
         return [[(np.ones(dim + 1), np.ones(dim + 1))], [(np.ones(dim - 1), np.ones(dim - 1))]]
-    vectors = [np.ones(dim + 1), np.ones(dim - 1)]
+    vectors = [np.ones(dim + 1), np.ones(dim - 1), np.ones((2, dim // 2))]
     if takes == "vector":  # a stack, even of one, is not a vector
         return vectors + [np.ones((1, dim))]
     return vectors + [np.ones((2, dim + 1)), np.ones((1, 2, dim))]
@@ -132,7 +149,7 @@ def _same(a, b) -> bool:
 
 
 # the stack function of a vector-only entry point
-_STACK_OF = {"NormSpec.value": "NormSpec.value_many"}
+_STACK_OF = {"NormSpec.value": "NormSpec.value_many", "sobolev_norm": "NormSpec.value_many"}
 # a vector gives what its stack of one gives: one verdict for every row, or
 # the norms of value_many, which takes a vector as a stack of one
 _WHOLE = ("PolyhedralCone.contains", "is_face", "NormSpec.value_many")
@@ -199,7 +216,11 @@ def test_the_failures_of_a_stack_are_keyed_by_row(name, monkeypatch):
     call, x, X, failed = _FAILING[name](monkeypatch)
     with pytest.raises(ConvergenceError) as many:
         call(X)
-    assert set(many.value.diagnostics["rows"]) == failed
+    rows = many.value.diagnostics["rows"]
+    assert set(rows) == failed
+    # ConvergenceError.of_rows: each row holds its error, and the message joins them
+    assert all(isinstance(row["error"], str) for row in rows.values())
+    assert str(many.value) == "; ".join(f"row {j}: {row['error']}" for j, row in rows.items())
     assert str(many.value).startswith(f"row {min(failed)}: ")
     assert len(many.value.best) == len(X)
     with pytest.raises(ConvergenceError) as one:
@@ -220,3 +241,12 @@ def test_a_vector_norm_fails_as_row_zero_with_a_scalar_best(monkeypatch):
         norm_many.__self__.value(x)
     assert set(info.value.diagnostics["rows"]) == {0}
     assert isinstance(info.value.best, float)
+
+
+def test_the_readme_names_every_entry_point():
+    # README's row-stack section lists each function this file holds to the convention
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## The row-stack convention\n", 1)[1].split("\n## ", 1)[0]
+    named = {name.removeprefix("NormSpec.") for name in re.findall(r"`([^`]+)`", section)}
+    missing = [name for name in _ENTRY_POINTS if name.removeprefix("NormSpec.") not in named]
+    assert not missing, f"README's row-stack section does not name {missing}"
