@@ -174,7 +174,7 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
 def in_generated_cone(generators: np.ndarray, x) -> bool:
     """Membership in the cone of nonnegative combinations of the generators."""
     G = np.atleast_2d(np.asarray(generators, dtype=float))
-    x = np.asarray(x, dtype=float)
+    (x,) = as_stack(x, G.shape[1], (1,))
     scale = 1.0 + float(np.linalg.norm(x))
     _, resid = scipy.optimize.nnls(G.T, x)
     return resid <= LP_TOL * scale

@@ -141,8 +141,8 @@ class GridDomain:
         return np.stack(grids, axis=-1).reshape(-1, self.d)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Closed-domain membership."""
-        pts = np.atleast_2d(pts)
+        """Closed-domain membership of each row of an (m, d) stack of points."""
+        pts = as_stack(pts, self.d)
         return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=1)
 
 
@@ -481,19 +481,41 @@ def mollifier_weights(delta: float, h: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(domain: GridDomain, delta: float, f) -> np.ndarray:
-    """The grid vector f convolved with ``mollifier_weights(delta, h)`` along
-    every axis, as a grid vector.
+class MollifierOperator(scipy.sparse.linalg.LinearOperator):
+    """Convolution of grid vectors with ``mollifier_weights(delta, h)`` along
+    every axis, the mollifier approximant at scale delta.
 
-    The torus convolves periodically; bounded domains extend f by zero, so
-    supports grow by at most delta.
+    The torus convolves periodically; bounded domains extend by zero, so
+    supports grow by at most delta.  The weights are nonnegative and
+    symmetric, so the operator is positive and is its own transpose.
     """
-    out = as_stack(f, domain.node_count, (1,)).reshape((domain.n,) * domain.d)
-    w = mollifier_weights(delta, domain.h)
-    mode = "wrap" if domain.periodic else "constant"
-    for axis in range(domain.d):
-        out = scipy.ndimage.convolve1d(out, w, axis=axis, mode=mode, cval=0.0)
-    return out.ravel()
+
+    def __init__(self, domain: GridDomain, delta: float):
+        super().__init__(dtype=float, shape=(domain.node_count,) * 2)
+        self.domain, self.w = domain, mollifier_weights(delta, domain.h)
+
+    @property
+    def nbytes(self) -> int:
+        return self.w.nbytes
+
+    def _matmat(self, X):
+        dom = self.domain
+        out = np.asarray(X, dtype=float).reshape((dom.n,) * dom.d + (-1,))
+        mode = "wrap" if dom.periodic else "constant"
+        for axis in range(dom.d):
+            out = scipy.ndimage.convolve1d(out, self.w, axis=axis, mode=mode, cval=0.0)
+        return out.reshape(dom.node_count, -1)
+
+    def _transpose(self):
+        return self
+
+    _adjoint = _transpose
+
+
+def mollify(domain: GridDomain, delta: float, f) -> np.ndarray:
+    """The grid vector f mollified at scale delta, ``MollifierOperator(domain, delta) @ f``."""
+    f = as_stack(f, domain.node_count, (1,))[0]
+    return MollifierOperator(domain, delta) @ f
 
 
 # ---------------------------------------------------------------------------

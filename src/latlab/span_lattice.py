@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.ndimage
 from scipy.sparse.linalg import LinearOperator
 
 from .ordered_space import OrderedSpaceSpec, as_stack
-from .sobolev_grid import ConvergenceError, GridDomain, mollifier_weights, row_dots
+from .sobolev_grid import ConvergenceError, GridDomain, MollifierOperator, row_dots
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +260,6 @@ def renorm_bounds_check(base: float, renorm: float, M: float, C: float) -> Renor
 # Approximation schemes
 # ---------------------------------------------------------------------------
 
-class PeriodicCorrelation(LinearOperator):
-    """Matrix-free positive operator (R v)_i = sum_j w_j v_{i + j - len(w)//2}.
-
-    Indices wrap around, so this is the periodic convolution with the
-    reflected kernel; the adjoint convolves with ``w`` itself.  The weights
-    are checked to be nonnegative, which makes the operator positive.
-    """
-
-    def __init__(self, weights, N: int):
-        w = np.asarray(weights, dtype=float)
-        if np.min(w) < 0:
-            raise ValueError("correlation weights must be nonnegative")
-        super().__init__(dtype=w.dtype, shape=(N, N))
-        self.w = w
-
-    @property
-    def nbytes(self) -> int:
-        return self.w.nbytes
-
-    def _matmat(self, X):
-        return scipy.ndimage.correlate1d(X, self.w, axis=0, mode="wrap", output=float)
-
-    def _rmatmat(self, X):
-        return scipy.ndimage.convolve1d(X, self.w, axis=0, mode="wrap", output=float)
-
-    _matvec = _matmat
-    _rmatvec = _rmatmat
-
-
 @dataclass(frozen=True)
 class ApproximationScheme:
     """Positive approximants R_n realizing J R_n -> id.
@@ -299,12 +269,13 @@ class ApproximationScheme:
     with ``@`` and transposed with ``.T``.  It builds a fresh operator on
     every call and nothing is cached: a constructive-sup sweep asks for each
     index once, for a whole batch of vectors, and drops R_n before it builds
-    the next one.  Indices run geometrically from n_min.  Positivity is
-    enforced where the operators are built: ``PeriodicCorrelation`` rejects
-    negative weights, and the resolvent scheme's ``ResolventOperator``
-    rejects an LU of n - A with a pivot <= 0, the check on the factors it
-    applies that makes each computed product of R_n or its transpose map
-    nonnegative vectors to nonnegative vectors.
+    the next one.  Indices run geometrically from n_min.  Positivity comes
+    from what the operators are built of: a ``MollifierOperator``'s weights
+    are samples of the nonnegative bump over their positive sum, and the
+    resolvent scheme's ``ResolventOperator`` rejects an LU of n - A with a
+    pivot <= 0, the check on the factors it applies that makes each
+    computed product of R_n or its transpose map nonnegative vectors to
+    nonnegative vectors.
     """
 
     R: Callable[[int], LinearOperator]
@@ -322,16 +293,13 @@ class ApproximationScheme:
             n *= 2
 
 def mollifier_scheme(domain: GridDomain) -> ApproximationScheme:
-    """Torus scheme R_n = convolution with the bump at scale 1/n, n >= 2."""
+    """Torus scheme R_n = ``MollifierOperator`` at scale period/n, for n from 2
+    up to the n at which the scale reaches 2h."""
     if not domain.periodic:
         raise ValueError("the plain mollifier scheme lives on the torus")
-    N = domain.node_count
-    n_max = int(math.floor((domain.hi[0] - domain.lo[0]) / (2.0 * domain.h)))
-
-    def R(n: int) -> PeriodicCorrelation:
-        return PeriodicCorrelation(mollifier_weights(1.0 / n, domain.h), N)
-
-    return ApproximationScheme(R, 2, n_max)
+    period = domain.hi[0] - domain.lo[0]
+    n_max = int(math.floor(period / (2.0 * domain.h)))
+    return ApproximationScheme(lambda n: MollifierOperator(domain, period / n), 2, n_max)
 
 
 # ---------------------------------------------------------------------------

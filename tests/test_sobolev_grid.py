@@ -63,6 +63,14 @@ class TestGridDomain:
         with pytest.raises(ValueError, match="^expected vectors of length 5$"):
             sobolev_norm(GridDomain.interval(0, 1, 5), 1, 2.0, np.zeros(4))
 
+    def test_contains_takes_points_of_width_d(self):
+        rect, interval = GridDomain.rectangle(0, 1, 0, 1, 8), GridDomain.interval(0, 1, 8)
+        assert rect.contains(np.array([[0.5, 0.5], [0.5, 1.5]])).tolist() == [True, False]
+        with pytest.raises(ValueError, match="^expected vectors of length 2$"):
+            rect.contains(np.array([0.5]))
+        with pytest.raises(ValueError, match="^expected vectors of length 1$"):
+            interval.contains(np.full((2, 2), 0.5))
+
 
 # ---------------------------------------------------------------------------
 # Sobolev norms

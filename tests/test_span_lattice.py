@@ -16,7 +16,6 @@ from latlab.sobolev_grid import (
 )
 from latlab.span_lattice import (
     ApproximationScheme,
-    PeriodicCorrelation,
     _iterate_sup,
     constructive_sup,
     constructive_sup_dual,
@@ -543,26 +542,44 @@ class TestSchemeValidation:
 
     @pytest.mark.parametrize("N", [32, 64, 384])
     def test_convolution_direction_matches_dense_assembly(self, N):
-        # reference: the operator assembled densely as a sum of shifted
-        # identities; the bump kernels are symmetric, so a lopsided kernel
-        # is what tells correlation from convolution
+        # reference: the operator assembled densely as a sum of shifted identities
         domain = GridDomain.torus(1.0, N)
         scheme = mollifier_scheme(domain)
         rng = np.random.default_rng(N)
-        lopsided = np.arange(1.0, 8.0) / 28.0
-        cases = [(scheme.R(n), mollifier_weights(1.0 / n, domain.h))
-                 for n in scheme.indices()]
-        cases.append((PeriodicCorrelation(lopsided, N), lopsided))
-        for op, w in cases:
+        for n in scheme.indices():
+            op, w = scheme.R(n), mollifier_weights(1.0 / n, domain.h)
             half = len(w) // 2
             M = sum(wj * np.roll(np.eye(N), j - half, axis=1) for j, wj in enumerate(w))
             v = rng.standard_normal(N)
             assert np.max(np.abs(op @ v - M @ v)) <= 1e-15
             assert np.max(np.abs(op.T @ v - M.T @ v)) <= 1e-15
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            PeriodicCorrelation(np.array([0.5, -0.1, 0.6]), 8)
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(8, 640), frac=st.floats(0.0, 1.0))
+    def test_weights_are_a_positive_symmetric_average(self, N, frac):
+        # the certificate that each R_n is positive and its own transpose
+        h = GridDomain.torus(1.0, N).h
+        w = mollifier_weights(2.0 * h + frac * (0.5 - 2.0 * h), h)
+        assert np.all(w >= 0.0)
+        assert np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 1.0) <= 1e-15
+
+    def test_every_index_is_its_own_transpose(self):
+        scheme = mollifier_scheme(GridDomain.torus(1.0, 384))
+        for n in scheme.indices():
+            R = scheme.R(n)
+            assert R.T is R and R.H is R
+
+    @pytest.mark.parametrize("period", [0.5, 2.0])
+    def test_scales_follow_the_period(self, period):
+        # the scale of R_n is period/n, so on the same node values every
+        # index acts as on the unit torus
+        N = 64
+        scheme, unit = (mollifier_scheme(GridDomain.torus(p, N)) for p in (period, 1.0))
+        assert list(scheme.indices()) == list(unit.indices())
+        z = np.random.default_rng(5).standard_normal(N)
+        for n in scheme.indices():
+            assert np.max(np.abs(scheme.R(n) @ z - unit.R(n) @ z)) <= 1e-12
 
 
 class TestConstructiveSup:
@@ -639,9 +656,6 @@ class TestConstructiveSupDual:
         x = 0.001 * np.sin(2 * np.pi * domain.axis(0))
         s = constructive_sup_dual(scheme, x, 1e-5)
         assert np.max(np.abs(s - np.abs(x))) <= 1e-6
-        # transposed approximants: convolution with the reflected kernel
-        R4 = scheme.R(4)
-        assert np.allclose(R4 @ np.eye(256), R4.T @ np.eye(256), atol=1e-14)
 
     def test_resolvent_scheme_dual_matches_primal(self):
         # A is symmetric, so R_n' = R_n and both constructions coincide
@@ -655,6 +669,13 @@ class TestConstructiveSupDual:
         s = constructive_sup(scheme, z, tol)
         assert np.max(np.abs(s_dual - s)) <= 1e-12
         assert np.max(np.abs(z) - s_dual) <= tol
+
+    def test_dual_equals_primal_bit_for_bit(self):
+        domain = GridDomain.torus(1.0, 256)
+        scheme = mollifier_scheme(domain)
+        Z = _profiles(domain, (0.001, 0.004, 0.02))
+        assert np.array_equal(constructive_sup_dual(scheme, Z, 1e-5),
+                              constructive_sup(scheme, Z, 1e-5))
 
     def test_zero_covector_exact(self):
         domain = GridDomain.torus(1.0, 32)

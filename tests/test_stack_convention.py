@@ -25,6 +25,7 @@ from latlab.ordered_space import (
     NormSpec,
     OrderedSpaceSpec,
     PolyhedralCone,
+    in_generated_cone,
     is_face,
     normality_constant_lower_bound,
     supremum_oracle,
@@ -98,6 +99,7 @@ def _entry_points():
             3, lambda pairs: normality_constant_lower_bound(cone_space, pairs), "pairs",
             [(_INSIDE, 2.0 * _INSIDE)]),
         "is_face": (3, lambda G: is_face(G, cone, sample_size=8), "stack", _INSIDE),
+        "in_generated_cone": (3, lambda x: in_generated_cone(np.eye(3), x), "vector", _INSIDE),
         "span_norm": (8, lambda x: span_norm(space, x), "stack", _MIXED),
         "renorm_value": (8, lambda x: renorm_value(space, x), "vector", _MIXED),
         "extrapolation_norm": (32, lambda x: extrapolation_norm(ext, x), "stack", _smooth(32)),
